@@ -6,17 +6,23 @@
 
 #include "core/checksum.hh"
 #include "core/error.hh"
+#include "core/rans.hh"
 
 namespace szp::archive {
 
-void write_header(ByteWriter& w, const ArchiveHeader& h) {
+std::uint16_t format_version(Workflow wf, std::size_t n) {
+  // Archives the older formats can express stay byte-identical to what
+  // the older writers produced.
+  if (wf == Workflow::kRans && n > kRansChunk) return kVersionRansChunks;
+  const bool legacy =
+      static_cast<std::uint8_t>(wf) <= static_cast<std::uint8_t>(Workflow::kRans);
+  return legacy ? kVersion : kVersionCodec;
+}
+
+std::uint16_t write_header(ByteWriter& w, const ArchiveHeader& h) {
+  const std::uint16_t version = format_version(h.workflow, h.extents.count());
   w.put(kMagic);
-  // Emit the lowest format version that can express the workflow tag, so
-  // archives using the original four workflows stay byte-identical to
-  // pre-v3 writers.
-  const bool legacy = static_cast<std::uint8_t>(h.workflow) <=
-                      static_cast<std::uint8_t>(Workflow::kRans);
-  w.put(legacy ? kVersion : kVersionCodec);
+  w.put(version);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.extents.rank));
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.workflow));
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.dtype));
@@ -26,6 +32,7 @@ void write_header(ByteWriter& w, const ArchiveHeader& h) {
   w.put<double>(h.eb_abs);
   w.put<std::uint32_t>(h.capacity);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.predictor));
+  return version;
 }
 
 ArchiveHeader read_header(ByteReader& r) {
@@ -34,12 +41,14 @@ ArchiveHeader read_header(ByteReader& r) {
     throw DecodeError(DecodeErrorKind::kBadMagic, "header", "not an szp archive");
   }
   const auto version = r.get<std::uint16_t>();
-  if (version != kVersion && version != kVersionCodec) {
+  if (version < kVersion || version > kVersionRansChunks) {
     throw DecodeError(DecodeErrorKind::kBadVersion, "header",
                       "archive version " + std::to_string(version) + ", expected " +
-                          std::to_string(kVersion) + " or " + std::to_string(kVersionCodec));
+                          std::to_string(kVersion) + " to " +
+                          std::to_string(kVersionRansChunks));
   }
   ArchiveHeader h;
+  h.version = version;
   h.extents.rank = r.get<std::uint8_t>();
   const auto wf = r.get<std::uint8_t>();
   const auto dt = r.get<std::uint8_t>();
@@ -54,8 +63,8 @@ ArchiveHeader read_header(ByteReader& r) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
                       "rank " + std::to_string(h.extents.rank) + " outside [1, 3]");
   }
-  // v2 can only carry the original four workflow tags; v3 extends the slot
-  // to the LZ codec family.  Anything else is a bad codec id.
+  // v2 can only carry the original four workflow tags; v3 and later extend
+  // the slot to the LZ codec family.  Anything else is a bad codec id.
   const auto max_wf = version == kVersion ? static_cast<std::uint8_t>(Workflow::kRans)
                                           : static_cast<std::uint8_t>(Workflow::kLzr);
   if (wf > max_wf || static_cast<Workflow>(wf) == Workflow::kAuto) {

@@ -5,23 +5,32 @@
 // names are pinned by the golden-archive tests.  estimate() mirrors, per
 // codec, the analytic KernelCost formulas the real kernels report, so the
 // selector's modeled seconds agree with the PipelineReport of an actual run.
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "core/archive.hh"
 #include "core/codec/codec.hh"
 #include "core/error.hh"
 #include "core/huffman/codec.hh"
 #include "core/pipeline/builtin.hh"
 #include "core/rans.hh"
 #include "core/rle/rle.hh"
+#include "sim/check.hh"
 #include "sim/histogram.hh"
+#include "sim/launch.hh"
 #include "sim/timer.hh"
 
 namespace szp::pipeline {
 
 namespace {
+
+namespace chk = sim::checked;
+namespace ctr = sim::contract;
 
 void write_huffman_section(ByteWriter& w, const HuffmanCodebook& book,
                            const HuffmanEncoded& enc) {
@@ -315,29 +324,118 @@ class RleVleCodec final : public LosslessCodec {
   }
 };
 
+/// Hand the whole pages of a scratch buffer back to the OS, keeping its
+/// capacity: they read as zero and cost no resident memory until the next
+/// call writes them again.
+void release_scratch_pages(sim::scratch_vector<std::uint8_t>& buf) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(buf.data());
+  const std::uintptr_t lo = (begin + page - 1) / page * page;
+  const std::uintptr_t hi = (begin + buf.size()) / page * page;
+  if (hi > lo) (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+}
+
+/// rANS chunk length for a section of format `version`: v4 splits the
+/// stream every kRansChunk symbols, older formats hold one stream of all
+/// `n` symbols.
+std::size_t rans_chunk_for(std::uint16_t version, std::size_t n) {
+  return version >= archive::kVersionRansChunks ? kRansChunk : n;
+}
+
+/// Encode each `chunk`-symbol run of `quant` as its own rANS stream, one
+/// block per chunk, into the workspace slots.  Returns the total length.
+std::size_t rans_encode_chunks(std::span<const quant_t> quant, std::size_t chunk,
+                               const RansModel& model, Workspace& ws) {
+  const std::size_t n = quant.size();
+  const std::size_t chunks = sim::div_ceil(n, chunk);
+  const std::size_t slot = rans_max_bytes(chunk);
+  ws.rans_slots.resize(chunks * slot);
+  ws.rans_chunk_bytes.assign(chunks, 0);
+  const auto c64 = static_cast<std::int64_t>(chunk);
+  chk::launch("rans_encode/chunks", chunks,
+              chk::bufs(chk::in(quant, "symbols"),
+                        chk::out(std::span<std::uint8_t>(ws.rans_slots), "streams"),
+                        chk::out(std::span<std::uint64_t>(ws.rans_chunk_bytes), "lengths")),
+              ctr::contract(ctr::reads("symbols", ctr::b() * c64, c64).clamp(),
+                            ctr::writes_dyn("streams",
+                                            static_cast<std::int64_t>(rans_max_bytes(n) +
+                                                                      4 * (chunks - 1))),
+                            ctr::writes("lengths", ctr::b(), 1)),
+              [&](std::size_t k, const auto& vs, const auto& vo, const auto& vl) {
+    const std::size_t lo = k * chunk;
+    const std::size_t len = std::min(chunk, n - lo);
+    vs.note_read(lo, len);
+    const std::size_t bytes =
+        rans_encode_into({vs.data() + lo, len}, model, {vo.data() + k * slot, slot});
+    vo.note_write(k * slot + slot - bytes, bytes);
+    vl[k] = bytes;
+  });
+  std::size_t total = 0;
+  for (const auto b : ws.rans_chunk_bytes) total += b;
+  return total;
+}
+
+/// Decode stream k of `streams` into out[k·chunk, …), one block per chunk.
+/// Every stream is a view into one section, so `payload` spans them all;
+/// returns its length.
+std::size_t rans_decode_chunks(std::span<const std::span<const std::uint8_t>> streams,
+                               std::size_t chunk, const RansModel& model,
+                               std::span<quant_t> out) {
+  const std::uint8_t* const base = streams.front().data();
+  const std::span<const std::uint8_t> payload(
+      base, static_cast<std::size_t>(streams.back().data() + streams.back().size() - base));
+  const std::size_t n = out.size();
+  const auto c64 = static_cast<std::int64_t>(chunk);
+  chk::launch("rans_decode/chunks", streams.size(),
+              chk::bufs(chk::in(payload, "payload"), chk::out(out, "quant")),
+              ctr::contract(ctr::reads_dyn("payload", static_cast<std::int64_t>(payload.size())),
+                            ctr::writes("quant", ctr::b() * c64, c64).clamp()),
+              [&](std::size_t k, const auto& vp, const auto& vq) {
+    const auto off = static_cast<std::size_t>(streams[k].data() - base);
+    vp.note_read(off, streams[k].size());
+    const std::size_t lo = k * chunk;
+    const std::size_t len = std::min(chunk, n - lo);
+    vq.note_write(lo, len);
+    rans_decode_into({vp.data() + off, streams[k].size()}, model, {vq.data() + lo, len});
+  });
+  return payload.size();
+}
+
 class RansCodec final : public LosslessCodec {
  public:
   [[nodiscard]] Workflow id() const override { return Workflow::kRans; }
   [[nodiscard]] const char* name() const override { return "rans"; }
 
-  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace&,
+  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               ByteWriter& w, sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto model = RansModel::build(ctx.freq);
-    const auto enc =
-        rans_encode(std::span<const std::uint16_t>(quant.data(), quant.size()), model);
+    const std::size_t chunk = rans_chunk_for(ctx.version, quant.size());
+    const std::size_t bytes = rans_encode_chunks(quant, chunk, model, ws);
     sim::KernelCost cost;
     cost.bytes_read = quant.size_bytes();
-    cost.bytes_written = enc.size();
+    cost.bytes_written = bytes;
     cost.flops = quant.size() * 20;  // div/mod state updates
     cost.parallel_items = quant.size();
     cost.pattern = sim::AccessPattern::kScattered;
     cost.custom_factor = 0.06;  // ANS is heavier per symbol than Huffman
     cost.launches = 3;          // model build + reverse-order encode + concat
     report.add({"rans_encode", ctx.original_bytes, t.seconds(), cost});
+    // Section: model, u64 count, [v4: u32 chunk length], one byte vector
+    // per chunk (exactly one before v4).
     model.serialize(w);
     w.put<std::uint64_t>(quant.size());
-    w.put_vector(enc);
+    if (ctx.version >= archive::kVersionRansChunks) {
+      w.put<std::uint32_t>(static_cast<std::uint32_t>(chunk));
+    }
+    const std::size_t slot = rans_max_bytes(chunk);
+    for (std::size_t k = 0; k < ws.rans_chunk_bytes.size(); ++k) {
+      const std::size_t len = ws.rans_chunk_bytes[k];
+      w.put_span(std::span<const std::uint8_t>(ws.rans_slots.data() + (k + 1) * slot - len, len));
+    }
+    // The slots hold a copy of the section until the next call rewrites
+    // them; left resident they would outlive every compress call.
+    release_scratch_pages(ws.rans_slots);
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
@@ -347,23 +445,35 @@ class RansCodec final : public LosslessCodec {
     r.set_segment("quant-codes");
     const auto count = r.get<std::uint64_t>();
     if (count != ctx.n) {
-      // Checked before rans_decode so a spliced count cannot drive the
-      // symbol-buffer allocation past the grid size.
+      // Checked before the stream walk so a spliced count cannot drive the
+      // chunk table past the grid size.
       throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
                         "rans symbol count " + std::to_string(count) +
                             " does not match the " + std::to_string(ctx.n) + "-element grid");
     }
-    const auto enc = r.get_vector<std::uint8_t>();
-    const auto syms = rans_decode(enc, count, model);
-    std::vector<quant_t> quant(syms.begin(), syms.end());
+    const std::size_t chunk = rans_chunk_for(ctx.version, ctx.n);
+    if (ctx.version >= archive::kVersionRansChunks) {
+      r.set_segment("rans chunks");
+      const auto stored = r.get<std::uint32_t>();
+      if (stored != chunk) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "rans chunks",
+                          "chunk length " + std::to_string(stored) + ", the format fixes " +
+                              std::to_string(chunk));
+      }
+    }
+    // Validate every stream header against the section before the grid
+    // runs; each view is zero-copy into the archive body.
+    const std::size_t chunks = sim::div_ceil(ctx.n, chunk);
+    std::vector<std::span<const std::uint8_t>> streams;
+    streams.reserve(std::min(chunks, r.remaining() / sizeof(std::uint64_t) + 1));
+    for (std::size_t k = 0; k < chunks; ++k) streams.push_back(r.get_bytes());
     sim::KernelCost cost;
-    cost.bytes_read = enc.size();
+    cost.bytes_read = rans_decode_chunks(streams, chunk, model, out);
     cost.bytes_written = count * sizeof(quant_t);
     cost.flops = count * 450;  // serial state chain, like Huffman decode
     cost.parallel_items = count;
     cost.pattern = sim::AccessPattern::kCoalescedStreaming;
     report.add({"rans_decode", ctx.payload_bytes, t.seconds(), cost});
-    deliver_symbols(quant, out);
   }
 
   [[nodiscard]] CodecEstimate estimate(const CodecSignals& sig) const override {
@@ -375,8 +485,11 @@ class RansCodec final : public LosslessCodec {
     // final state flush adds 4 bytes.
     e.payload_bits_per_symbol = sig.stats.entropy_bits * 1.01 + 32.0 / std::max(1.0, n);
     // Sparse model table: alphabet u32 + live u32 + live × (sym u16 + freq
-    // u16), plus symbol count and payload vector header.
-    e.fixed_bytes = 8.0 + 4.0 * static_cast<double>(live) + 8.0 + 8.0;
+    // u16), plus symbol count and payload vector header; every chunk past
+    // the first adds its own vector header and state flush.
+    const double extra_chunks =
+        static_cast<double>(sim::div_ceil(std::max<std::size_t>(1, sig.n), kRansChunk) - 1);
+    e.fixed_bytes = 8.0 + 4.0 * static_cast<double>(live) + 8.0 + 8.0 + 12.0 * extra_chunks;
     e.encode_cost.bytes_read = sig.n * sizeof(quant_t);
     e.encode_cost.bytes_written =
         static_cast<std::uint64_t>(n * e.payload_bits_per_symbol / 8.0);

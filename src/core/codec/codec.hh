@@ -8,7 +8,9 @@
 // codecs through StageRegistry lookups (core/pipeline/registry.hh), so
 // adding a codec is: implement this interface, register it, allot the next
 // Workflow tag (the archive header stores it — tags are append-only, and
-// tags past kRans bump the archive format to version 3).
+// tags past kRans bump the archive format to version 3).  A codec whose
+// section layout changes takes a new format version from
+// archive::format_version() and reads and writes by ctx.version.
 //
 // Contract highlights:
 //   * encode() serializes the codec's self-describing section directly
@@ -40,14 +42,17 @@ struct EncodeContext {
   const CompressConfig& cfg;
   std::span<const std::uint64_t> freq;  ///< quant-code histogram
   std::size_t original_bytes = 0;       ///< for PipelineReport entries
+  std::uint16_t version = 0;            ///< archive format version in the header
 };
 
 /// Decode-side inputs: the expected element count (validated against the
-/// header before any decode-driven allocation) and the uncompressed payload
-/// size used as the throughput denominator in reports.
+/// header before any decode-driven allocation), the uncompressed payload
+/// size used as the throughput denominator in reports, and the header's
+/// format version (a codec whose section layout changed reads by it).
 struct DecodeContext {
   std::size_t n = 0;
   std::size_t payload_bytes = 0;
+  std::uint16_t version = 0;
 };
 
 /// Histogram-derived signals estimate() projects from (no trial encode).

@@ -106,7 +106,7 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
 
   // --- Header + predictor aux payload -------------------------------------
   ByteWriter w;
-  archive::write_header(
+  const std::uint16_t version = archive::write_header(
       w, {wf, std::is_same_v<T, float> ? DType::kFloat32 : DType::kFloat64, ext, eb_kernel,
           cfg_.quant.capacity, cfg_.predictor});
   predictor.write_aux(w, ws);
@@ -116,7 +116,7 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
   w.put_vector(ws.outliers.values);
 
   // --- Quant-code payload --------------------------------------------------
-  const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes};
+  const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes, version};
   registry.codec(wf).encode(prod.quant, ectx, ws, w, st.pipeline);
 
   out.bytes = w.take();
@@ -217,7 +217,7 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
 
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");
-    const pipeline::DecodeContext dctx{n, payload_bytes};
+    const pipeline::DecodeContext dctx{n, payload_bytes, h.version};
     // The codec fills exactly n symbols or throws; n was validated by
     // read_header before this allocation.
     std::vector<quant_t> quant(n);

@@ -1,6 +1,7 @@
 #include "core/rans.hh"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace szp {
@@ -88,10 +89,34 @@ void RansModel::finalize() {
   if (cum_.back() != kProbScale) {
     throw std::logic_error("RansModel: frequencies do not sum to the probability scale");
   }
-  slot_to_symbol_.assign(kProbScale, 0);
+  enc_.assign(freq_.size(), RansEncSymbol{});
+  dec_.assign(kProbScale, RansDecSlot{});
   for (std::size_t s = 0; s < freq_.size(); ++s) {
-    for (std::uint32_t k = cum_[s]; k < cum_[s + 1]; ++k) {
-      slot_to_symbol_[k] = static_cast<std::uint16_t>(s);
+    const std::uint32_t f = freq_[s];
+    if (f == 0) continue;  // x_max = 0 marks the symbol unencodable
+    const std::uint32_t start = cum_[s];
+    // ryg_rans RansEncSymbolInit: the update x' = (x/f)·M + x%f + start
+    // becomes x' = x + bias + q·(M - f) with q = mulhi(x, rcp) >> shift,
+    // exact for every state the coder can hold (x < 2^31).
+    RansEncSymbol& e = enc_[s];
+    e.x_max = ((kLow >> kProbBits) << 8) * f;
+    e.cmpl_freq = static_cast<std::uint16_t>(kProbScale - f);
+    if (f == 1) {
+      // 1/1 is not representable as a 32-bit fraction: use q = x - 1 and
+      // fold the difference into the bias.
+      e.rcp_freq = ~0u;
+      e.rcp_shift = 0;
+      e.bias = start + kProbScale - 1;
+    } else {
+      std::uint32_t shift = 0;
+      while (f > (1u << shift)) ++shift;
+      e.rcp_freq = static_cast<std::uint32_t>(((std::uint64_t{1} << (shift + 31)) + f - 1) / f);
+      e.rcp_shift = static_cast<std::uint16_t>(shift - 1);
+      e.bias = start;
+    }
+    for (std::uint32_t k = start; k < start + f; ++k) {
+      dec_[k] = {static_cast<std::uint16_t>(f), static_cast<std::uint16_t>(k - start),
+                 static_cast<std::uint16_t>(s)};
     }
   }
 }
@@ -140,62 +165,98 @@ RansModel RansModel::deserialize(ByteReader& r) {
   return m;
 }
 
-std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
-                                      const RansModel& model) {
-  // Encode in reverse so decoding streams forward.
-  std::vector<std::uint8_t> reversed;
-  reversed.reserve(symbols.size() / 2 + 8);
+std::size_t rans_encode_into(std::span<const std::uint16_t> symbols, const RansModel& model,
+                             std::span<std::uint8_t> buf) {
+  if (buf.size() < rans_max_bytes(symbols.size())) {
+    throw std::invalid_argument("rans_encode_into: output buffer below rans_max_bytes()");
+  }
+  const std::span<const RansEncSymbol> table = model.enc_table();
+  std::uint8_t* const end = buf.data() + buf.size();
+  std::uint8_t* ptr = end;
+  // Encode in reverse, writing backwards, so decoding streams forward.
   std::uint32_t x = kLow;
   for (std::size_t i = symbols.size(); i-- > 0;) {
     const std::uint16_t s = symbols[i];
-    if (s >= model.alphabet_size() || model.freq(s) == 0) {
+    if (s >= table.size() || table[s].x_max == 0) {
       throw std::invalid_argument("rans_encode: symbol not in model");
     }
-    const std::uint32_t f = model.freq(s);
+    const RansEncSymbol& e = table[s];
     // Renormalize: keep x below the point where the update would overflow.
-    const std::uint32_t x_max = ((kLow >> RansModel::kProbBits) << 8) * f;
-    while (x >= x_max) {
-      reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
+    while (x >= e.x_max) {
+      *--ptr = static_cast<std::uint8_t>(x & 0xff);
       x >>= 8;
     }
-    x = ((x / f) << RansModel::kProbBits) + (x % f) + model.cum(s);
+    const auto q = static_cast<std::uint32_t>((static_cast<std::uint64_t>(x) * e.rcp_freq) >> 32) >>
+                   e.rcp_shift;
+    x += e.bias + q * e.cmpl_freq;
   }
-  // Flush the 32-bit state.
+  // Flush the 32-bit state, most significant byte first in stream order.
   for (int k = 0; k < 4; ++k) {
-    reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
+    *--ptr = static_cast<std::uint8_t>(x & 0xff);
     x >>= 8;
   }
-  return {reversed.rbegin(), reversed.rend()};
+  return static_cast<std::size_t>(end - ptr);
 }
 
-std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std::size_t count,
-                                       const RansModel& model) {
-  std::vector<std::uint16_t> out(count);
-  std::size_t pos = 0;
+void rans_decode_into(std::span<const std::uint8_t> bytes, const RansModel& model,
+                      std::span<std::uint16_t> out) {
+  const RansDecSlot* const table = model.dec_table().data();
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = bytes.data() + bytes.size();
   const auto next_byte = [&]() -> std::uint32_t {
-    if (pos >= bytes.size()) {
+    if (p == end) {
       throw DecodeError(DecodeErrorKind::kTruncated, "rans stream",
                         "state renormalization ran past the " + std::to_string(bytes.size()) +
                             "-byte stream");
     }
-    return bytes[pos++];
+    return *p++;
   };
 
   std::uint32_t x = 0;
   for (int k = 0; k < 4; ++k) x = (x << 8) | next_byte();
 
   constexpr std::uint32_t kMask = RansModel::kProbScale - 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t slot = x & kMask;
-    const std::uint16_t s = model.symbol_at(slot);
-    out[i] = s;
-    x = model.freq(s) * (x >> RansModel::kProbBits) + slot - model.cum(s);
+  const std::size_t count = out.size();
+  std::size_t i = 0;
+  // From x >= kLow an update leaves x >= freq·2^11 >= 2^11, so one
+  // renormalization reads at most 2 bytes: the bounds check is only needed
+  // on the last 2.  A corrupt initial state below kLow takes the checked
+  // loop throughout.
+  if (x >= kLow) {
+    for (; i < count && end - p >= 2; ++i) {
+      const RansDecSlot e = table[x & kMask];
+      out[i] = e.symbol;
+      x = e.freq * (x >> RansModel::kProbBits) + e.bias;
+      if (x < kLow) {
+        x = (x << 8) | *p++;
+        if (x < kLow) x = (x << 8) | *p++;
+      }
+    }
+  }
+  for (; i < count; ++i) {
+    const RansDecSlot e = table[x & kMask];
+    out[i] = e.symbol;
+    x = e.freq * (x >> RansModel::kProbBits) + e.bias;
     while (x < kLow) x = (x << 8) | next_byte();
   }
   if (x != kLow) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "rans stream",
                       "final decoder state mismatch");
   }
+}
+
+std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
+                                      const RansModel& model) {
+  const std::size_t cap = rans_max_bytes(symbols.size());
+  const auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+  const std::size_t len = rans_encode_into(symbols, model, {buf.get(), cap});
+  return {buf.get() + (cap - len), buf.get() + cap};
+}
+
+std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std::size_t count,
+                                       const RansModel& model) {
+  std::vector<std::uint16_t> out(count);
+  rans_decode_into(bytes, model, out);
   return out;
 }
 

@@ -14,7 +14,8 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       freq.capacity(),              hist_priv.capacity(),
       huffman.payload.capacity(),   huffman.chunk_offsets.capacity(),
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
-      vle_freq.capacity(),          book_freq.capacity(),
+      vle_freq.capacity(),          rans_slots.capacity(),
+      rans_chunk_bytes.capacity(),  book_freq.capacity(),
       codec_bytes.capacity(),       slab_io.capacity(),
   };
 }

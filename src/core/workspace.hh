@@ -34,6 +34,7 @@
 #include "core/predictor/regression.hh"
 #include "core/thread_safety.hh"
 #include "core/types.hh"
+#include "sim/aligned.hh"
 #include "sim/sparse.hh"
 
 namespace szp {
@@ -61,6 +62,13 @@ struct Workspace {
   std::vector<std::uint64_t> huffman_chunk_bytes;
   std::vector<std::uint64_t> vle_freq;        ///< RLE+VLE stream histograms
 
+  /// rANS chunk-encode staging (core/codec/builtin_codecs.cc): chunk k
+  /// encodes backwards into the k-th rans_max_bytes(kRansChunk) slot, so
+  /// only each slot's written tail is ever touched, and the codec returns
+  /// those pages to the OS once the section is serialized.
+  sim::scratch_vector<std::uint8_t> rans_slots;
+  std::vector<std::uint64_t> rans_chunk_bytes;  ///< encoded length per chunk
+
   /// Codebook memoization: the canonical book is a pure function of the
   /// histogram, so a reused workspace skips the serial rebuild when the
   /// histogram repeats (time-series snapshots of one field) — the build is
@@ -82,7 +90,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 22;
+  static constexpr std::size_t kTrackedBuffers = 24;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

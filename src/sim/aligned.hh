@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace szp::sim {
@@ -36,5 +39,33 @@ struct AlignedAllocator {
 /// global memory, aligned so streaming kernels vectorize.
 template <typename T>
 using device_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// Allocator whose value-less construct() default-initializes, so resize()
+/// of a vector of trivial T leaves the new elements unwritten (cudaMalloc
+/// semantics).  Pages a kernel never writes then never become resident.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+
+  UninitAllocator() noexcept = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// Scratch buffer whose resize() does not zero-fill (see UninitAllocator).
+template <typename T>
+using scratch_vector = std::vector<T, UninitAllocator<T>>;
 
 }  // namespace szp::sim

@@ -153,6 +153,8 @@ constexpr IntensityEntry kIntensity[] = {
     {"lzh/encode", 2.5},
     {"lzr/expand", 0.5},
     {"lzr/token_split", 0.5},
+    {"rans_decode/chunks", 180.0},
+    {"rans_encode/chunks", 5.0},
     {"regression_construct", 0.8},
     {"regression_reconstruct", 0.6},
     {"reduce_by_key/tile_runs", 1.0},

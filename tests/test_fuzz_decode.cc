@@ -13,12 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "core/archive.hh"
 #include "core/checksum.hh"
 #include "core/compressor.hh"
 #include "core/error.hh"
 #include "core/huffman/bitio.hh"
 #include "core/huffman/codebook.hh"
 #include "core/huffman/codec.hh"
+#include "core/rans.hh"
 #include "core/serialize.hh"
 #include "core/types.hh"
 #include "data/io.hh"
@@ -235,6 +237,108 @@ TEST(FuzzDecode, TruncatedBitstreamIsNamed) {
     EXPECT_EQ(e.kind(), DecodeErrorKind::kTruncated) << e.what();
     EXPECT_EQ(e.segment(), "bitstream") << e.what();
     EXPECT_NE(std::string(e.what()).find("bitstream"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked rANS (format v4): hand-spliced sections fail closed with a stable
+// kind and segment.
+// ---------------------------------------------------------------------------
+
+/// A v4 kRans archive split at its chunk table: `prefix` runs through the
+/// u32 chunk length (at `chunk_field`), `streams` are the per-chunk bytes.
+struct ChunkedRans {
+  std::vector<std::uint8_t> prefix;
+  std::size_t chunk_field = 0;
+  std::vector<std::vector<std::uint8_t>> streams;
+
+  /// Reassemble (stream vectors + a fresh trailing CRC).
+  [[nodiscard]] std::vector<std::uint8_t> build() const {
+    ByteWriter w;
+    for (const auto& s : streams) w.put_vector(s);
+    auto out = prefix;
+    const auto tail = w.take();
+    out.insert(out.end(), tail.begin(), tail.end());
+    out.resize(out.size() + 4);
+    restamp_crc(out);
+    return out;
+  }
+};
+
+/// Two full chunks and a ragged 17-symbol one.
+ChunkedRans chunked_rans_archive() {
+  std::vector<float> data(2 * kRansChunk + 17);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(static_cast<float>(i) * 0.01f) + 0.1f * std::sin(static_cast<float>(i));
+  }
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  cfg.workflow = Workflow::kRans;
+  const auto bytes = Compressor(cfg).compress(data, Extents::d1(data.size())).bytes;
+  ByteReader r(std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
+  EXPECT_EQ(archive::read_header(r).version, archive::kVersionRansChunks);
+  (void)r.get_vector<std::uint64_t>();  // outlier indices
+  (void)r.get_vector<qdiff_t>();        // outlier values
+  (void)RansModel::deserialize(r);
+  (void)r.get<std::uint64_t>();  // symbol count
+  ChunkedRans c;
+  c.chunk_field = r.position();
+  EXPECT_EQ(r.get<std::uint32_t>(), kRansChunk);
+  c.prefix.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(r.position()));
+  while (!r.exhausted()) c.streams.push_back(r.get_vector<std::uint8_t>());
+  EXPECT_EQ(c.streams.size(), 3u);
+  EXPECT_EQ(c.build(), bytes);
+  return c;
+}
+
+void splice_u32(std::vector<std::uint8_t>& archive, std::size_t offset, std::uint32_t v) {
+  ASSERT_LE(offset + 4, archive.size());
+  std::memcpy(archive.data() + offset, &v, 4);
+}
+
+TEST(FuzzDecode, ChunkedRansSplicesFailClosed) {
+  const ChunkedRans c = chunked_rans_archive();
+  ASSERT_NO_THROW((void)Compressor::decompress(c.build()));
+
+  // The chunk length is fixed by the format: 0 and any other value reject.
+  for (const std::uint32_t chunk : {0u, static_cast<std::uint32_t>(kRansChunk / 2)}) {
+    auto a = c.build();
+    splice_u32(a, c.chunk_field, chunk);
+    restamp_crc(a);
+    expect_rejected(a, DecodeErrorKind::kCorruptStream, "rans chunks");
+  }
+
+  // The last stream's length runs past the section.
+  {
+    auto a = c.build();
+    const std::size_t last_len_at = a.size() - 4 - c.streams.back().size() - 8;
+    splice_u64(a, last_len_at, c.streams.back().size() + 5);
+    restamp_crc(a);
+    expect_rejected(a, DecodeErrorKind::kLengthOverflow, "rans chunks");
+  }
+
+  // A chunk cut in half: its decoder runs out of bytes.
+  {
+    ChunkedRans m = c;
+    m.streams[1].resize(m.streams[1].size() / 2);
+    expect_rejected(m.build(), DecodeErrorKind::kTruncated, "rans stream");
+  }
+
+  // The ragged chunk given chunk 0's stream: 17 symbols decode from it, and
+  // the state they leave is not the initial one.
+  {
+    ChunkedRans m = c;
+    m.streams[2] = m.streams[0];
+    expect_rejected(m.build(), DecodeErrorKind::kCorruptStream, "rans stream");
+  }
+
+  // The v4 layout under a v2 header reads as one stream, whose length field
+  // is the chunk length and half of the first stream's length.
+  {
+    auto a = c.build();
+    a[4] = static_cast<std::uint8_t>(archive::kVersion);
+    restamp_crc(a);
+    expect_rejected(a, DecodeErrorKind::kLengthOverflow, "quant-codes");
   }
 }
 

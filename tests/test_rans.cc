@@ -1,4 +1,5 @@
-// rANS entropy coder and LZ77+rANS (Zstd stand-in) tests.
+// rANS entropy coder, the chunked kRans codec section, and LZ77+rANS (Zstd
+// stand-in) tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,9 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "core/archive.hh"
+#include "core/codec/codec.hh"
+#include "core/pipeline/registry.hh"
+#include "core/rans.hh"
 #include "core/serialize.hh"
 #include "lossless/lzr.hh"
-#include "core/rans.hh"
 
 namespace {
 
@@ -146,6 +150,116 @@ TEST(Rans, CorruptStreamIsDetected) {
     failed = true;
   }
   EXPECT_TRUE(failed);
+}
+
+/// The division-based encoder the reciprocal table replaced (push_back plus
+/// a reversed copy): the reference its output must match byte for byte.
+std::vector<std::uint8_t> reference_encode(std::span<const std::uint16_t> symbols,
+                                           const RansModel& model) {
+  constexpr std::uint32_t kLow = 1u << 23;
+  std::vector<std::uint8_t> reversed;
+  std::uint32_t x = kLow;
+  for (std::size_t i = symbols.size(); i-- > 0;) {
+    const std::uint32_t f = model.freq(symbols[i]);
+    const std::uint32_t x_max = ((kLow >> RansModel::kProbBits) << 8) * f;
+    while (x >= x_max) {
+      reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
+      x >>= 8;
+    }
+    x = ((x / f) << RansModel::kProbBits) + (x % f) + model.cum(symbols[i]);
+  }
+  for (int k = 0; k < 4; ++k) {
+    reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
+    x >>= 8;
+  }
+  return {reversed.rbegin(), reversed.rend()};
+}
+
+TEST(Rans, ReciprocalEncoderMatchesDivisionReference) {
+  // Wide alphabets leave many frequency-1 symbols (the reciprocal's special
+  // case); skewed ones push frequencies to the top of the scale.
+  for (const std::size_t alphabet : {std::size_t{2}, std::size_t{64}, std::size_t{3000}}) {
+    for (const double p : {0.0, 0.5, 0.999}) {
+      const auto syms = skewed_symbols(40000, p, alphabet, static_cast<std::uint32_t>(alphabet));
+      const auto model = RansModel::build(counts_of(syms, alphabet));
+      EXPECT_EQ(rans_encode(syms, model), reference_encode(syms, model))
+          << "alphabet " << alphabet << " p " << p;
+    }
+  }
+}
+
+// ---- Chunked codec section ---------------------------------------------------
+
+/// Encode through the registered kRans codec at the format version the
+/// archive writer would pick for `syms.size()` elements.
+std::vector<std::uint8_t> codec_section(std::span<const std::uint16_t> syms,
+                                        std::span<const std::uint64_t> freq,
+                                        std::uint16_t* version = nullptr) {
+  const CompressConfig cfg;
+  Workspace ws;
+  sim::PipelineReport report;
+  const std::uint16_t v = archive::format_version(Workflow::kRans, syms.size());
+  if (version != nullptr) *version = v;
+  ByteWriter w;
+  pipeline::StageRegistry::instance().codec(Workflow::kRans).encode(
+      syms, {cfg, freq, 0, v}, ws, w, report);
+  return w.take();
+}
+
+TEST(RansCodec, SectionBelowOneChunkIsTheSingleStreamSection) {
+  // Up to kRansChunk symbols the section is format v2's: model, u64 count,
+  // one byte vector holding the single-chain stream.
+  std::mt19937 rng(12);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{777}, std::size_t{100003},
+                              kRansChunk}) {
+    const auto syms = skewed_symbols(n, 0.8, 1024, static_cast<std::uint32_t>(rng()));
+    const auto freq = counts_of(syms, 1024);
+    std::uint16_t version = 0;
+    const auto section = codec_section(syms, freq, &version);
+    EXPECT_EQ(version, archive::kVersion) << n;
+    const auto model = RansModel::build(freq);
+    ByteWriter ref;
+    model.serialize(ref);
+    ref.put<std::uint64_t>(n);
+    ref.put_vector(reference_encode(syms, model));
+    EXPECT_EQ(section, ref.take()) << n;
+  }
+}
+
+TEST(RansCodec, ChunkedSectionRoundTripsChunkByChunk) {
+  // Two full chunks and a ragged one: v4 section with one independent
+  // single-chain stream per chunk, decoded straight into the caller's span.
+  const std::size_t n = 2 * kRansChunk + 17;
+  const auto syms = skewed_symbols(n, 0.9, 1024, 13);
+  const auto freq = counts_of(syms, 1024);
+  std::uint16_t version = 0;
+  const auto section = codec_section(syms, freq, &version);
+  ASSERT_EQ(version, archive::kVersionRansChunks);
+
+  ByteReader r(section);
+  const auto model = RansModel::deserialize(r);
+  EXPECT_EQ(r.get<std::uint64_t>(), n);
+  EXPECT_EQ(r.get<std::uint32_t>(), kRansChunk);
+  for (std::size_t lo = 0; lo < n; lo += kRansChunk) {
+    const std::span<const std::uint16_t> chunk(syms.data() + lo, std::min(kRansChunk, n - lo));
+    EXPECT_EQ(r.get_vector<std::uint8_t>(), reference_encode(chunk, model)) << lo;
+  }
+  EXPECT_TRUE(r.exhausted());
+
+  ByteReader dr(section);
+  std::vector<quant_t> out(n);
+  sim::PipelineReport report;
+  pipeline::StageRegistry::instance().codec(Workflow::kRans).decode(
+      dr, {n, 0, version}, out, report);
+  EXPECT_EQ(out, syms);
+}
+
+TEST(RansCodec, WriterPicksTheLowestVersion) {
+  EXPECT_EQ(archive::format_version(Workflow::kRans, kRansChunk), archive::kVersion);
+  EXPECT_EQ(archive::format_version(Workflow::kRans, kRansChunk + 1),
+            archive::kVersionRansChunks);
+  EXPECT_EQ(archive::format_version(Workflow::kHuffman, 4 * kRansChunk), archive::kVersion);
+  EXPECT_EQ(archive::format_version(Workflow::kLzr, 4 * kRansChunk), archive::kVersionCodec);
 }
 
 // ---- LZR (Zstd stand-in) -----------------------------------------------------

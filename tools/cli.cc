@@ -22,6 +22,7 @@
 #include "core/bundle.hh"
 #include "core/predictor/lorenzo.hh"
 #include "core/predictor/regression.hh"
+#include "core/rans.hh"
 #include "core/rle/rle.hh"
 #include "core/streaming.hh"
 #include "data/catalog.hh"
@@ -614,6 +615,18 @@ void analyze_suite() {
     ccfg.workflow = wf;
     (void)Compressor::decompress(Compressor(ccfg).compress(cfield, ce).bytes);
   }
+
+  // --- rANS past one chunk: the chunk-parallel encode/decode grids
+  // (rans_encode/chunks, rans_decode/chunks) with a ragged last chunk.
+  const Extents re = Extents::d1(kRansChunk + 4096);
+  std::vector<float> rfield(re.count());
+  for (std::size_t i = 0; i < rfield.size(); ++i) {
+    rfield[i] = std::sin(0.001f * static_cast<float>(i));
+  }
+  CompressConfig rcfg;
+  rcfg.eb = ErrorBound::absolute(1e-3);
+  rcfg.workflow = Workflow::kRans;
+  (void)Compressor::decompress(Compressor(rcfg).compress(rfield, re).bytes);
 }
 
 /// `szp analyze --codecs`: run the cost-model selector over canned quant-code

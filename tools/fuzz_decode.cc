@@ -19,6 +19,7 @@
 #include "core/bundle.hh"
 #include "core/checksum.hh"
 #include "core/compressor.hh"
+#include "core/rans.hh"
 #include "core/serialize.hh"
 #include "core/streaming.hh"
 #include "data/io.hh"
@@ -221,6 +222,12 @@ std::vector<Target> make_targets() {
     t.decode = [](std::span<const std::uint8_t> b) { (void)zfp::zfp_decompress(b); };
     targets.push_back(std::move(t));
   }
+
+  // Appended last so the per-target RNG streams of the others stay put.
+  // Two full rANS chunks plus a ragged 17-symbol one: archive format v4,
+  // whose chunk table the single-stream targets never reach.
+  targets.push_back(szp_target("szp/rans-chunked-1d-f32", Workflow::kRans,
+                               PredictorKind::kLorenzo, Extents::d1(2 * kRansChunk + 17), false));
 
   return targets;
 }

@@ -4,10 +4,13 @@
 #   tools/lint.sh [build-dir] [extra clang-tidy args...]
 #   tools/lint.sh --contracts-only
 #
-# Three phases:
+# Four phases:
 #   1. Footprint-contract coverage: every chk::launch / checked::launch(_3d)
 #      call site in src/ must register a contract (a `contract` token inside
 #      the call's parenthesis extent).  Pure text check, no toolchain needed.
+#   1b. Test-data tracking: every file under tests/golden/ and tests/corpus/
+#      must be tracked by git (an untracked or ignored golden passes locally
+#      and fails on a fresh checkout).  Skipped outside a git work tree.
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
 #      traffic table.  Skipped when the build tree has no szp binary.
@@ -87,6 +90,23 @@ check_contracts || {
 }
 echo "lint.sh: contract coverage OK"
 
+# --- Phase 1b: committed test data is tracked. ------------------------------
+if git -C "${repo_root}" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  echo "lint.sh: checking that tests/golden and tests/corpus are tracked"
+  stray=$(git -C "${repo_root}" ls-files --others --exclude-standard -- tests/golden tests/corpus)
+  ignored=$(git -C "${repo_root}" ls-files --others --ignored --exclude-standard \
+              -- tests/golden tests/corpus)
+  if [ -n "${stray}${ignored}" ]; then
+    printf '%s\n' ${stray} ${ignored} | sed 's/^/  untracked or ignored: /' >&2
+    echo "lint.sh: test-data tracking FAILED — git add these files (and check" \
+         ".gitignore does not exclude them)" >&2
+    exit 1
+  fi
+  echo "lint.sh: test-data tracking OK"
+else
+  echo "lint.sh: skipping test-data tracking (not a git work tree)"
+fi
+
 if [ "${contracts_only}" = 1 ]; then
   exit 0
 fi
@@ -112,7 +132,8 @@ if [ -x "${szp_bin}" ]; then
   # one of these (e.g. a codec is dropped from the analyze round-trips), the
   # lint fails rather than silently shrinking coverage.
   for k in codec/quant_pack codec/quant_unpack lz77/tokenize lz77/token_freq \
-           lzh/encode lzh/decode lzr/token_split lzr/expand; do
+           lzh/encode lzh/decode lzr/token_split lzr/expand \
+           rans_encode/chunks rans_decode/chunks; do
     if ! printf '%s\n' "${traffic_out}" | grep -q "${k}"; then
       echo "lint.sh: traffic coverage FAILED — codec kernel '${k}' missing" \
            "from the traffic table (analyze workload no longer exercises it)" >&2
