@@ -43,8 +43,9 @@ enum class ReconstructVariant {
   kOptimizedPartialSum,
 };
 
-/// Which construction kernel the cost model attributes (the host execution
-/// differs only in the staging copy; see lorenzo_construct.cc).
+/// Which construction kernel the cost model attributes: the access pattern
+/// and calibrated bandwidth factor of the modeled KernelCost.  Both run the
+/// same host body and produce the same bytes (see lorenzo_construct.cc).
 enum class ConstructVariant {
   kBaseline,  ///< cuSZ: shared-memory staging, 1 item/thread
   kOptimized, ///< cuSZ+: register reuse via in-warp shuffle, coarsened threads
@@ -61,18 +62,19 @@ struct LorenzoConstructResult {
 /// sparse by a separate stage, as in the paper's pipeline).
 ///
 /// T is float or double (the paper supports both; doubles raise the VLE
-/// compression-ratio ceiling from 32x to 64x).  Requires max|d|/(2*eb) <
-/// 2^27 so residual arithmetic stays exact in qdiff_t; the Compressor
-/// validates this before calling.
+/// compression-ratio ceiling from 32x to 64x).  Requires |d|/(2*eb) < 2^27
+/// for every element so residual arithmetic stays exact in int32/qdiff_t;
+/// throws std::invalid_argument otherwise (NaN and infinities included).
 template <typename T>
 [[nodiscard]] LorenzoConstructResult lorenzo_construct(
     std::span<const T> data, const Extents& ext, double eb_abs,
     const QuantConfig& quant, OutlierScheme scheme = OutlierScheme::kResidual,
     ConstructVariant variant = ConstructVariant::kOptimized);
 
-/// Workspace-reuse variant: fills the caller's result struct with
-/// capacity-preserving assigns, so a reused `res` allocates nothing once
-/// its buffers have grown to the field size (see core/workspace.hh).
+/// Workspace-reuse variant: fills the caller's result struct, resizing its
+/// buffers without zero-filling them (every element is written), so a
+/// reused `res` allocates nothing once its buffers have grown to the field
+/// size (see core/workspace.hh).
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& quant, OutlierScheme scheme,

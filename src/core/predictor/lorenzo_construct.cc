@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,8 +12,22 @@ namespace szp {
 
 namespace {
 
-// Largest chunk across ranks: 256 (1D), 256 (2D 16x16), 512 (3D 8x8x8).
-constexpr std::size_t kMaxChunkElems = 512;
+// One host block covers a run of whole chunks along x, at most 256 elements
+// wide: 1 chunk in 1-D, 16 in 2-D, 32 in 3-D.  Chunks keep their own zero
+// prediction boundary, so the bytes do not depend on the block width; the
+// wide rows are what let the loops stream (thread coarsening, DESIGN.md §2).
+constexpr std::size_t kBlockWidth = 256;
+
+// Block-local prequant tile with a zero halo plane, row and column in front
+// of the interior: (cz+1) x (cy+1) x (kBlockWidth+1) int32.  (cz+1)(cy+1)
+// is 4 / 34 / 81 for ranks 1 / 2 / 3, so 3-D sets the size: 83 KB.
+constexpr std::size_t kPitchX = kBlockWidth + 1;
+constexpr std::size_t kTileElems = 9 * 9 * kPitchX;
+
+// Exactness precondition: |d / 2eb| < 2^27 keeps prequant values, the 7-term
+// prediction and the residual inside int32 / qdiff_t.
+constexpr double kPrequantLimit = 0x1p27;
+constexpr std::int64_t kPrequantLimitBits = std::bit_cast<std::int64_t>(kPrequantLimit);
 
 // Bandwidth derating factors calibrated against the construction
 // throughputs published for cuSZ (Table VI "cuSZ" column) and cuSZ+
@@ -19,17 +35,51 @@ constexpr std::size_t kMaxChunkElems = 512;
 constexpr std::array<double, 4> kBaselineFactor{0.0, 0.58, 0.70, 0.56};
 constexpr std::array<double, 4> kOptimizedFactor{0.0, 0.85, 0.76, 0.82};
 
-struct ChunkGeometry {
-  ChunkShape shape;
-  std::size_t gx, gy, gz;  // grid extents in chunks
-};
+/// Prequantizes one row, d° = round(d / 2eb) with halves away from zero —
+/// exactly std::llround, but in a form the loop vectorizes: the int32
+/// conversion truncates toward zero and the exact remainder f = t - trunc(t)
+/// adds ±1 when |f| >= 0.5.  Returns false when some |d / 2eb| is not below
+/// 2^27 or is NaN; those lanes are clamped to ±2^27 first so every
+/// conversion stays in range.  The check ANDs the sign of
+/// bits(|t|) - bits(2^27), which is negative exactly when |t| < 2^27 (the
+/// bit patterns of non-negative doubles order like their values, NaN last).
+template <typename T>
+bool prequant_row(const T* src, std::size_t w, double inv2eb, std::int32_t* dst) {
+  std::int64_t all_below = -1;
+  for (std::size_t i = 0; i < w; ++i) {
+    const double t = static_cast<double>(src[i]) * inv2eb;
+    const double a = std::fabs(t);
+    all_below &= std::bit_cast<std::int64_t>(a) - kPrequantLimitBits;
+    const double tc = std::copysign(a < kPrequantLimit ? a : kPrequantLimit, t);
+    const double tr = static_cast<double>(static_cast<std::int32_t>(tc));
+    const double f = tc - tr;
+    dst[i] = static_cast<std::int32_t>(tr + std::copysign(std::fabs(f) >= 0.5 ? 1.0 : 0.0, f));
+  }
+  return all_below < 0;
+}
 
-ChunkGeometry make_grid(const Extents& ext) {
-  ChunkGeometry g{ChunkShape::for_rank(ext.rank), 0, 0, 0};
-  g.gx = sim::div_ceil(ext.nx, g.shape.cx);
-  g.gy = sim::div_ceil(ext.ny, g.shape.cy);
-  g.gz = sim::div_ceil(ext.nz, g.shape.cz);
-  return g;
+/// Lorenzo prediction and postquantization of one row.  `cur` is the row's
+/// prequant tile row; `up`, `back` and `back_up` are its y-1, z-1 and
+/// (z-1, y-1) neighbours.  All four point at the halo column, so element lx
+/// is at [lx + 1].  One 7-term formula serves every rank: absent z/y
+/// neighbours read the zero halo, and the four x-1 terms are masked at each
+/// chunk's first column, the chunk's zero prediction boundary.
+void predict_row(const std::int32_t* cur, const std::int32_t* up, const std::int32_t* back,
+                 const std::int32_t* back_up, std::uint32_t w, std::uint32_t x_in_chunk,
+                 std::int32_t r, bool residual, quant_t* q, qdiff_t* o) {
+  // Code of an out-of-range element: δ'=0 (cuSZ+) or the placeholder 0 (cuSZ).
+  const std::int32_t q_out = residual ? r : 0;
+  for (std::uint32_t lx = 0; lx < w; ++lx) {
+    const std::int32_t west_mask = -static_cast<std::int32_t>((lx & x_in_chunk) != 0);
+    const std::int32_t west = cur[lx] - up[lx] - back[lx] + back_up[lx];
+    const std::int32_t pred = up[lx + 1] + back[lx + 1] - back_up[lx + 1] + (west & west_mask);
+    const std::int32_t c = cur[lx + 1];
+    const std::int32_t delta = c - pred;
+    const bool in = delta > -r && delta < r;
+    q[lx] = static_cast<quant_t>(in ? delta + r : q_out);
+    // cuSZ+ keeps the residual δ as the outlier; cuSZ the value d°.
+    o[lx] = in ? 0 : (residual ? delta : c);
+  }
 }
 
 }  // namespace
@@ -48,29 +98,34 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
 
   const std::size_t n = ext.count();
   res.cost = {};
-  res.quant.assign(n, 0);
-  res.outlier_dense.assign(n, 0);
+  // Every element of both outputs is written by the kernel: no zero-fill.
+  res.quant.resize(n);
+  res.outlier_dense.resize(n);
 
   const double inv2eb = 1.0 / (2.0 * eb_abs);
-  const std::int64_t r = qcfg.radius();
-  const auto grid = make_grid(ext);
-  const ChunkShape cs = grid.shape;
-  const bool stage_copy = variant == ConstructVariant::kBaseline;
+  const std::int32_t r = qcfg.radius();
+  const bool residual = scheme == OutlierScheme::kResidual;
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const std::size_t bw = kBlockWidth / cs.cx * cs.cx;  // whole chunks per block row
+  const auto x_in_chunk = static_cast<std::uint32_t>(cs.cx - 1);  // cx is a power of two
+  const std::size_t pitch_y = (cs.cy + 1) * kPitchX;
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for res.cost
-  // Every block owns one chunk-shaped tile of the row-major field: the same
-  // box for the read of `data` and the writes of `quant`/`outlier`.
+  // Every block owns one box of the row-major field, `bw` wide and one chunk
+  // high and deep: the same box for the read of `data` and the writes of
+  // `quant`/`outlier`.
   const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
+    return ctr::box(a, buf, ctr::bx() * bw, static_cast<std::int64_t>(bw),
                     ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
                     static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
                     static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
   };
   chk::launch_3d("lorenzo_construct",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
+                 {static_cast<std::uint32_t>(sim::div_ceil(ext.nx, bw)),
+                  static_cast<std::uint32_t>(sim::div_ceil(ext.ny, cs.cy)),
+                  static_cast<std::uint32_t>(sim::div_ceil(ext.nz, cs.cz))},
                  chk::bufs(chk::in(data, "data"),
                            chk::out(std::span<quant_t>(res.quant), "quant"),
                            chk::out(std::span<qdiff_t>(res.outlier_dense), "outlier")),
@@ -79,95 +134,58 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
                                tile_of(ctr::AccessKind::kWrite, "outlier")),
                  [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
                      const auto& vquant, const auto& voutlier) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
+    const std::size_t x0 = bx * bw, y0 = by * cs.cy, z0 = bz * cs.cz;
+    const std::size_t w = std::min(bw, ext.nx - x0);
     const std::size_t h = std::min(cs.cy, ext.ny - y0);
     const std::size_t d = std::min(cs.cz, ext.nz - z0);
 
-    // "Shared memory": the prequantized chunk, needed by the prediction
-    // pass (prequant barrier in Algorithm 1 line 2).
-    std::array<std::int64_t, kMaxChunkElems> pq;
-    std::array<T, kMaxChunkElems> staged;  // baseline-variant staging
-
-    const auto lidx = [&](std::size_t lz, std::size_t ly, std::size_t lx) {
-      return (lz * h + ly) * w + lx;
+    // "Shared memory": the prequantized block (Algorithm 1 line 2).  Only
+    // the halo is zeroed; the interior is written before it is read.
+    std::array<std::int32_t, kTileElems> tile;
+    const auto row_of = [&](std::size_t tz, std::size_t ty) {
+      return tile.data() + tz * pitch_y + ty * kPitchX;
     };
-
-    if (stage_copy) {
-      // cuSZ-style: copy global -> shared first, then prequant from shared.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            staged[lidx(lz, ly, lx)] =
-                vdata[ext.index(z0 + lz, y0 + ly, x0 + lx)];
-      for (std::size_t i = 0; i < w * h * d; ++i)
-        pq[i] = std::llround(static_cast<double>(staged[i]) * inv2eb);
-    } else {
-      // cuSZ+-style: prequant straight from global into registers/shared.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            pq[lidx(lz, ly, lx)] = std::llround(
-                static_cast<double>(vdata[ext.index(z0 + lz, y0 + ly, x0 + lx)]) * inv2eb);
+    std::fill_n(row_of(0, 0), (h + 1) * kPitchX, 0);  // z halo plane
+    for (std::size_t tz = 1; tz <= d; ++tz) {
+      std::fill_n(row_of(tz, 0), w + 1, 0);  // y halo row
+      for (std::size_t ty = 1; ty <= h; ++ty) row_of(tz, ty)[0] = 0;  // x halo column
     }
 
-    // Prediction + postquant.  Neighbors outside the chunk are zero, which
-    // is the convention that turns reconstruction into a partial sum.
-    const auto at = [&](std::ptrdiff_t lz, std::ptrdiff_t ly, std::ptrdiff_t lx) -> std::int64_t {
-      if (lx < 0 || ly < 0 || lz < 0) return 0;
-      return pq[lidx(static_cast<std::size_t>(lz), static_cast<std::size_t>(ly),
-                     static_cast<std::size_t>(lx))];
-    };
-
+    bool ok = true;
     for (std::size_t lz = 0; lz < d; ++lz) {
       for (std::size_t ly = 0; ly < h; ++ly) {
-        for (std::size_t lx = 0; lx < w; ++lx) {
-          const auto x = static_cast<std::ptrdiff_t>(lx);
-          const auto y = static_cast<std::ptrdiff_t>(ly);
-          const auto z = static_cast<std::ptrdiff_t>(lz);
-          std::int64_t pred = 0;
-          switch (ext.rank) {
-            case 1:
-              pred = at(0, 0, x - 1);
-              break;
-            case 2:
-              pred = at(0, y - 1, x) + at(0, y, x - 1) - at(0, y - 1, x - 1);
-              break;
-            case 3:
-              pred = at(z, y - 1, x) + at(z, y, x - 1) + at(z - 1, y, x)
-                   - at(z, y - 1, x - 1) - at(z - 1, y - 1, x) - at(z - 1, y, x - 1)
-                   + at(z - 1, y - 1, x - 1);
-              break;
-            default: break;
-          }
-          const std::int64_t delta = pq[lidx(lz, ly, lx)] - pred;
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          if (delta > -r && delta < r) {
-            vquant[gi] = static_cast<quant_t>(delta + r);
-          } else if (scheme == OutlierScheme::kResidual) {
-            // Modified quantization (cuSZ+): quant-code encodes δ'=0 and the
-            // true residual goes to the outlier stream.
-            vquant[gi] = static_cast<quant_t>(r);
-            voutlier[gi] = static_cast<qdiff_t>(delta);
-          } else {
-            // cuSZ: placeholder 0, outlier carries the prequantized value.
-            vquant[gi] = 0;
-            voutlier[gi] = static_cast<qdiff_t>(pq[lidx(lz, ly, lx)]);
-          }
-        }
+        const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0);
+        vdata.note_read(gi, w);
+        std::int32_t* cur = row_of(lz + 1, ly + 1);
+        ok &= prequant_row(vdata.data() + gi, w, inv2eb, cur + 1);
+
+        const std::int32_t* up = row_of(lz + 1, ly);
+        const std::int32_t* back = row_of(lz, ly + 1);
+        const std::int32_t* back_up = row_of(lz, ly);
+        vquant.note_write(gi, w);
+        voutlier.note_write(gi, w);
+        predict_row(cur, up, back, back_up, static_cast<std::uint32_t>(w), x_in_chunk, r,
+                    residual, vquant.data() + gi, voutlier.data() + gi);
       }
+    }
+    if (!ok) {
+      throw std::invalid_argument(
+          "lorenzo_construct: |d|/2eb must be finite and below 2^27 for exact "
+          "integer prequantization");
     }
   });
 
-  // Traffic from the footprint contract (tile boxes over data/quant/outlier);
-  // arithmetic and calibration stay the wrapper's.
+  // Traffic from the footprint contract (boxes over data/quant/outlier);
+  // arithmetic and calibration stay the wrapper's.  The variant only picks
+  // the modeled kernel: the host body is the same.
+  const bool baseline = variant == ConstructVariant::kBaseline;
   traffic_scope.apply(res.cost);
   res.cost.flops = n * (2 + (std::size_t{1} << ext.rank));
   res.cost.parallel_items = n;
-  res.cost.pattern = stage_copy ? sim::AccessPattern::kTiledShared
-                                : sim::AccessPattern::kCoalescedStreaming;
-  res.cost.custom_factor = stage_copy ? kBaselineFactor[static_cast<std::size_t>(ext.rank)]
-                                      : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
+  res.cost.pattern = baseline ? sim::AccessPattern::kTiledShared
+                              : sim::AccessPattern::kCoalescedStreaming;
+  res.cost.custom_factor = baseline ? kBaselineFactor[static_cast<std::size_t>(ext.rank)]
+                                    : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
 }
 
 template <typename T>

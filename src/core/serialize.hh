@@ -73,6 +73,7 @@ class ByteReader {
   std::vector<T> get_vector() {
     const std::uint64_t n = checked_count(sizeof(T));
     std::vector<T> v(static_cast<std::size_t>(n));
+    if (n == 0) return v;  // memcpy from/to a null data() is undefined even for 0 bytes
     std::memcpy(v.data(), bytes_.data() + pos_, static_cast<std::size_t>(n) * sizeof(T));
     pos_ += static_cast<std::size_t>(n) * sizeof(T);
     return v;

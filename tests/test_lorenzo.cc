@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/predictor/lorenzo.hh"
@@ -239,6 +241,196 @@ TEST(Lorenzo, SmallerCapacityProducesMoreOutliers) {
   }
 }
 
+// ---- Exact-bytes oracle: the construct kernel against a scalar reference --
+
+/// Scalar reference construct: one chunk at a time, std::llround prequant
+/// into int64 and the rank's Lorenzo stencil with a zero chunk boundary.
+template <typename T>
+void reference_construct(const std::vector<T>& data, const Extents& ext, double eb,
+                         const QuantConfig& qcfg, OutlierScheme scheme,
+                         std::vector<quant_t>& quant, std::vector<qdiff_t>& outlier) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const double inv2eb = 1.0 / (2.0 * eb);
+  const std::int64_t r = qcfg.radius();
+  quant.assign(ext.count(), 0);
+  outlier.assign(ext.count(), 0);
+  for (std::size_t z0 = 0; z0 < ext.nz; z0 += cs.cz)
+    for (std::size_t y0 = 0; y0 < ext.ny; y0 += cs.cy)
+      for (std::size_t x0 = 0; x0 < ext.nx; x0 += cs.cx) {
+        const std::size_t w = std::min(cs.cx, ext.nx - x0);
+        const std::size_t h = std::min(cs.cy, ext.ny - y0);
+        const std::size_t d = std::min(cs.cz, ext.nz - z0);
+        std::vector<std::int64_t> pq(w * h * d);
+        const auto lidx = [&](std::size_t lz, std::size_t ly, std::size_t lx) {
+          return (lz * h + ly) * w + lx;
+        };
+        for (std::size_t lz = 0; lz < d; ++lz)
+          for (std::size_t ly = 0; ly < h; ++ly)
+            for (std::size_t lx = 0; lx < w; ++lx)
+              pq[lidx(lz, ly, lx)] = std::llround(
+                  static_cast<double>(data[ext.index(z0 + lz, y0 + ly, x0 + lx)]) * inv2eb);
+        const auto at = [&](std::ptrdiff_t lz, std::ptrdiff_t ly,
+                            std::ptrdiff_t lx) -> std::int64_t {
+          if (lx < 0 || ly < 0 || lz < 0) return 0;
+          return pq[lidx(static_cast<std::size_t>(lz), static_cast<std::size_t>(ly),
+                         static_cast<std::size_t>(lx))];
+        };
+        for (std::size_t lz = 0; lz < d; ++lz)
+          for (std::size_t ly = 0; ly < h; ++ly)
+            for (std::size_t lx = 0; lx < w; ++lx) {
+              const auto x = static_cast<std::ptrdiff_t>(lx);
+              const auto y = static_cast<std::ptrdiff_t>(ly);
+              const auto z = static_cast<std::ptrdiff_t>(lz);
+              std::int64_t pred = 0;
+              if (ext.rank == 1) {
+                pred = at(0, 0, x - 1);
+              } else if (ext.rank == 2) {
+                pred = at(0, y - 1, x) + at(0, y, x - 1) - at(0, y - 1, x - 1);
+              } else {
+                pred = at(z, y - 1, x) + at(z, y, x - 1) + at(z - 1, y, x) -
+                       at(z, y - 1, x - 1) - at(z - 1, y - 1, x) - at(z - 1, y, x - 1) +
+                       at(z - 1, y - 1, x - 1);
+              }
+              const std::int64_t v = pq[lidx(lz, ly, lx)];
+              const std::int64_t delta = v - pred;
+              const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
+              if (delta > -r && delta < r) {
+                quant[gi] = static_cast<quant_t>(delta + r);
+              } else if (scheme == OutlierScheme::kResidual) {
+                quant[gi] = static_cast<quant_t>(r);
+                outlier[gi] = static_cast<qdiff_t>(delta);
+              } else {
+                quant[gi] = 0;
+                outlier[gi] = static_cast<qdiff_t>(v);
+              }
+            }
+      }
+}
+
+/// Compares the kernel's quant codes and dense outliers with the reference
+/// element by element, for both outlier schemes and both cost variants.
+template <typename T>
+void expect_matches_reference(const std::vector<T>& data, const Extents& ext, double eb,
+                              const QuantConfig& qcfg) {
+  for (const auto scheme : {OutlierScheme::kResidual, OutlierScheme::kValue}) {
+    std::vector<quant_t> ref_q;
+    std::vector<qdiff_t> ref_o;
+    reference_construct(data, ext, eb, qcfg, scheme, ref_q, ref_o);
+    for (const auto variant : {ConstructVariant::kOptimized, ConstructVariant::kBaseline}) {
+      const auto res = lorenzo_construct(data, ext, eb, qcfg, scheme, variant);
+      ASSERT_EQ(res.quant.size(), ref_q.size());
+      ASSERT_EQ(res.outlier_dense.size(), ref_o.size());
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < ref_q.size(); ++i) {
+        if (res.quant[i] != ref_q[i] || res.outlier_dense[i] != ref_o[i]) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "i=" << i << " quant " << res.quant[i] << " vs " << ref_q[i]
+                          << ", outlier " << res.outlier_dense[i] << " vs " << ref_o[i]
+                          << " (scheme " << static_cast<int>(scheme) << ", variant "
+                          << static_cast<int>(variant) << ")";
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "rank=" << ext.rank << " nx=" << ext.nx << " ny=" << ext.ny
+                                << " nz=" << ext.nz;
+    }
+  }
+}
+
+/// Half-quantum ties ±(k+½)·2eb, their neighbouring doubles/floats, and
+/// values next to the ±2^27 prequant limit, scattered over a 3-D field so
+/// they meet every stencil position and produce both in-range codes and
+/// outliers.
+template <typename T>
+std::vector<T> tie_and_limit_values() {
+  const double eb = 0.5;  // 2eb = 1: the ties are exact in both types
+  std::vector<T> v;
+  for (int k = -300; k <= 300; ++k) {
+    const T tie = static_cast<T>((k + 0.5) * 2 * eb);
+    v.push_back(tie);
+    v.push_back(std::nextafter(tie, std::numeric_limits<T>::infinity()));
+    v.push_back(std::nextafter(tie, -std::numeric_limits<T>::infinity()));
+    v.push_back(static_cast<T>(k * 2 * eb));
+  }
+  // Largest magnitudes below the limit: 2^27-1 is exact in double; float
+  // holds 24 significant bits, so its nearest values are 2^27-8 and 2^27-16.
+  const double near = std::is_same_v<T, float> ? 0x1p27 - 8 : 0x1p27 - 1;
+  for (const double m : {near, near - 0.5, near - 1.5, 0x1p27 - 16, 0x1p26 + 0.5}) {
+    v.push_back(static_cast<T>(m));
+    v.push_back(static_cast<T>(-m));
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    for (const double m : {0x1p27 - 0.5, 0x1p27 - 0.75, 0x1p26 - 0.5}) {
+      v.push_back(m);
+      v.push_back(-m);
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void check_ties_and_limits() {
+  const auto values = tie_and_limit_values<T>();
+  const Extents ext = Extents::d3(9, 11, 300);
+  std::vector<T> data(ext.count());
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = i < values.size() ? values[i] : values[pick(rng)];
+  }
+  // Every value is inside the prequant limit, so the kernel must accept
+  // them all and match the reference on all three ranks.
+  for (const auto v : values) {
+    ASSERT_LT(std::abs(static_cast<double>(v)), 0x1p27);
+  }
+  expect_matches_reference(data, ext, 0.5, QuantConfig{});
+  expect_matches_reference(data, Extents::d2(99, 300), 0.5, QuantConfig{});
+  expect_matches_reference(data, Extents::d1(ext.count()), 0.5, QuantConfig{64});
+  // Ties under a non-power-of-two bound: not exact, but right at the edge.
+  std::vector<T> near_ties(ext.count());
+  const double eb = 1e-3;
+  for (std::size_t i = 0; i < near_ties.size(); ++i) {
+    const auto k = static_cast<double>(static_cast<std::int64_t>(i % 4001) - 2000);
+    near_ties[i] = static_cast<T>((k + 0.5) * 2 * eb);
+  }
+  expect_matches_reference(near_ties, ext, eb, QuantConfig{});
+}
+
+TEST(LorenzoOracle, HalfQuantumTiesAndLimitMatchLlroundFloat) { check_ties_and_limits<float>(); }
+
+TEST(LorenzoOracle, HalfQuantumTiesAndLimitMatchLlroundDouble) {
+  check_ties_and_limits<double>();
+}
+
+class LorenzoOracleRagged
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(LorenzoOracleRagged, MatchesScalarReferenceBytes) {
+  const auto [rank, nx] = GetParam();
+  // ny / nz are not multiples of the 16 (2-D) or 8 (3-D) chunk.
+  const Extents ext = rank == 1   ? Extents::d1(nx)
+                      : rank == 2 ? Extents::d2(19, nx)
+                                  : Extents::d3(9, 11, nx);
+  const auto smooth = random_field(ext, static_cast<std::uint32_t>(rank * 1000 + nx));
+  std::vector<double> wide(smooth.begin(), smooth.end());
+  // Spikes force outliers on chunk corners, edges and interiors.
+  for (std::size_t i = 0; i < wide.size(); i += 37) wide[i] += (i % 2 != 0 ? 3.0 : -3.0);
+  const std::vector<float> narrow(wide.begin(), wide.end());
+  for (const double eb : {1e-2, 1e-4}) {
+    expect_matches_reference(narrow, ext, eb, QuantConfig{});
+    expect_matches_reference(wide, ext, eb, QuantConfig{});
+  }
+  expect_matches_reference(narrow, ext, 1e-3, QuantConfig{16});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankNx, LorenzoOracleRagged,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                         std::size_t{9}, std::size_t{255}, std::size_t{256},
+                                         std::size_t{257}, std::size_t{300},
+                                         std::size_t{513})));
+
 TEST(Lorenzo, InvalidArgumentsThrow) {
   const Extents ext = Extents::d1(100);
   std::vector<float> data(50);
@@ -251,6 +443,25 @@ TEST(Lorenzo, InvalidArgumentsThrow) {
   std::vector<qdiff_t> q(100);
   std::vector<float> out(99);
   EXPECT_THROW((void)lorenzo_reconstruct_fused(q, ext, 1e-3, out, {}), std::invalid_argument);
+
+  // The kernel itself enforces |d|/2eb < 2^27 (exact int32 prequant), so
+  // direct callers cannot get silently narrowed outliers.  The bad element
+  // sits in a later block of a multi-block grid: the error surfaces through
+  // the launch's rethrow.
+  const Extents big = Extents::d1(1000);
+  std::vector<double> limit(1000, 1.0);
+  limit[700] = 0x1p27 - 1;  // 2eb = 1: just inside
+  EXPECT_NO_THROW((void)lorenzo_construct(limit, big, 0.5, QuantConfig{}));
+  for (const double bad : {0x1p27, -0x1p27, 1e300, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    limit[700] = bad;
+    EXPECT_THROW((void)lorenzo_construct(limit, big, 0.5, QuantConfig{}), std::invalid_argument)
+        << "value " << bad;
+  }
+  std::vector<float> nan3(Extents::d3(9, 9, 300).count(), 0.0f);
+  nan3.back() = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW((void)lorenzo_construct(nan3, Extents::d3(9, 9, 300), 1e-3, QuantConfig{}),
+               std::invalid_argument);
 }
 
 TEST(Lorenzo, MinimalSizes) {

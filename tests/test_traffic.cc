@@ -185,6 +185,23 @@ TEST(TrafficKernels, Lorenzo3D) {
   EXPECT_NEAR(row.coalescing(), 0.2083, 0.001);
 }
 
+TEST(TrafficKernels, Lorenzo3DMultiBlock) {
+  // 8x8x600: three host blocks along x (256 + 256 + 88), each a run of
+  // whole 8x8x8 chunks.  Volumes stay 4 B read + 6 B written per element;
+  // one-chunk blocks would touch 8-element pencils and score 0.21 here,
+  // block rows of up to 256 elements score 0.87 — only the rows' unaligned
+  // ends (2400-byte field rows) drag partial segments.
+  const Extents ext = Extents::d3(8, 8, 600);
+  const auto data = ramp(ext.count());
+  const auto row = kernel_row("lorenzo_construct", [&] {
+    const auto res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
+    (void)res;
+  });
+  EXPECT_EQ(row.bytes_read, 4u * ext.count());
+  EXPECT_EQ(row.bytes_written, 6u * ext.count());
+  EXPECT_NEAR(row.coalescing(), 0.8681, 0.001);
+}
+
 TEST(TrafficKernels, RegressionConstruct) {
   const auto data = ramp(256);
   RegressionResult res;

@@ -522,7 +522,8 @@ void analyze_suite() {
   const QuantConfig qcfg;
   const double eb = 1e-3;
 
-  // --- Lorenzo + regression over a 3-D field (8x8x8 chunks -> 2x2x2 grid).
+  // --- Lorenzo + regression over a 3-D field (8x8x8 chunks -> 2x2x2 grid;
+  // the construct's 256-wide host blocks -> 1x2x2).
   const Extents e3 = Extents::d3(12, 10, 9);
   std::vector<float> field(e3.count());
   for (std::size_t i = 0; i < field.size(); ++i) {
