@@ -54,6 +54,18 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
+  /// The error for a length field of `n` elements of `elem_size` bytes that
+  /// exceeds the `remaining` bytes — shared with parsers that bounds-check a
+  /// length against a source they do not hold as one buffer, so both report
+  /// the same verdict for the same bytes.
+  [[nodiscard]] static DecodeError length_overflow(const std::string& segment, std::uint64_t n,
+                                                   std::size_t elem_size,
+                                                   std::size_t remaining) {
+    return DecodeError(DecodeErrorKind::kLengthOverflow, segment,
+                       "length field " + std::to_string(n) + " x " + std::to_string(elem_size) +
+                           " bytes exceeds the " + std::to_string(remaining) + " remaining");
+  }
+
   /// Label the archive segment being parsed; it is embedded in every
   /// DecodeError this reader throws so operators can localize corruption.
   void set_segment(const char* segment) { segment_ = segment; }
@@ -110,12 +122,7 @@ class ByteReader {
   /// can neither wrap the bounds check nor trigger a huge allocation.
   [[nodiscard]] std::uint64_t checked_count(std::size_t elem_size) {
     const auto n = get<std::uint64_t>();
-    if (n > remaining() / elem_size) {
-      throw DecodeError(DecodeErrorKind::kLengthOverflow, segment_,
-                        "length field " + std::to_string(n) + " x " +
-                            std::to_string(elem_size) + " bytes exceeds the " +
-                            std::to_string(remaining()) + " remaining");
-    }
+    if (n > remaining() / elem_size) throw length_overflow(segment_, n, elem_size, remaining());
     return n;
   }
 

@@ -61,6 +61,26 @@ std::size_t resolve_workers(const StreamingConfig& cfg) {
 #endif
 }
 
+/// Workers a pipeline actually runs: `cap` (already bounded by the item
+/// count) when the config is parallel, else 1 — and always 1 inside a worker
+/// of an outer fan-out (compress_many), so every fan-out stays one level.
+std::size_t pipeline_workers(const StreamingConfig& cfg, std::size_t cap) {
+#ifdef _OPENMP
+  if (cfg.parallel && !sim::in_parallel_worker()) return std::max<std::size_t>(1, cap);
+#else
+  (void)cfg;
+  (void)cap;
+#endif
+  return 1;
+}
+
+/// How far production may run ahead of in-order consumption, in items: the
+/// config's queue_window, else twice the worker count.
+std::size_t queue_window(const StreamingConfig& cfg, std::size_t workers) {
+  return std::max<std::size_t>(
+      1, cfg.queue_window != 0 ? cfg.queue_window : 2 * std::max<std::size_t>(1, workers));
+}
+
 /// Slab partition along the slowest axis: slab thickness chosen so each
 /// slab holds at most max_slab_elems.
 struct SlabPlan {
@@ -119,16 +139,14 @@ StreamPlan plan_stream(const Extents& ext, const StreamingConfig& cfg, std::size
   StreamPlan p{};
   p.slabs = plan_slabs(ext, cfg, plan_workers);
   p.workers = plan_workers;
-  p.window =
-      std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * plan_workers);
+  p.window = queue_window(cfg, plan_workers);
   if (cfg.memory_budget == 0) return p;
 
   const std::size_t budget = cfg.memory_budget;
   const std::size_t plane_bytes = p.slabs.plane_elems * elem_size;
   std::size_t w = std::max<std::size_t>(1, plan_workers);
   for (;;) {
-    const std::size_t q =
-        std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * w);
+    const std::size_t q = queue_window(cfg, w);
     const std::size_t fixed = q * kSlabArchiveOverhead;
     if (budget > fixed) {
       const std::size_t max_slab_bytes = (budget - fixed) / (w + q);
@@ -159,27 +177,44 @@ Extents slab_extents(const Extents& ext, std::size_t len) {
   }
 }
 
-/// Whole-field min/max as a block-reduce over the launch substrate: the
-/// per-block loops are plain scalar code (no nested OpenMP pragma), the
-/// block partials merge exactly, so the resolved bound is identical to the
-/// single-pass ValueRange::of scan — but the scan now parallelizes instead
-/// of running serially before any slab worker starts.
+/// Bytes [pos, pos + len) of `src`: a zero-copy subspan of its view when it
+/// has one (span, mmap), else read_at() into `staging`.  The one ingest
+/// path for slab payloads, raw slab elements, directory entries and
+/// range-scan blocks alike.
+std::span<const std::uint8_t> source_bytes(const io::FieldSource& src, std::size_t pos,
+                                           std::size_t len,
+                                           std::vector<std::uint8_t>& staging) {
+  const std::span<const std::uint8_t> view = src.view();
+  if (!view.empty()) return view.subspan(pos, len);
+  staging.resize(len);
+  src.read_at(pos, staging);
+  return staging;
+}
+
+/// Whole-field min/max as a block-reduce over the launch substrate: each
+/// 64 Ki-element block reads its elements through source_bytes() (a viewless
+/// source costs one block-sized buffer per running block), the per-block
+/// loops are plain scalar code (no nested OpenMP pragma), and the block
+/// partials merge exactly — so the resolved bound is identical to a
+/// single-pass ValueRange::of scan, on every source.
 template <typename T>
-ValueRange field_range_blocked(std::span<const T> data) {
+ValueRange field_range_blocked(const io::FieldSource& src, std::size_t count) {
   constexpr std::size_t kBlock = std::size_t{1} << 16;
-  const std::size_t blocks = sim::div_ceil(data.size(), kBlock);
+  const std::size_t blocks = sim::div_ceil(count, kBlock);
   std::vector<ValueRange> partial(blocks);
   sim::launch_blocks(blocks, [&](std::size_t b) {
     const std::size_t begin = b * kBlock;
-    const std::size_t end = std::min(begin + kBlock, data.size());
-    T lo = data[begin];
-    T hi = data[begin];
+    const std::size_t n = std::min(kBlock, count - begin);
+    std::vector<std::uint8_t> staging;
+    const T* p = reinterpret_cast<const T*>(
+        source_bytes(src, begin * sizeof(T), n * sizeof(T), staging).data());
+    T lo = p[0];
+    T hi = p[0];
     bool fin = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      const T v = data[i];
-      fin = fin && std::isfinite(v);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+    for (std::size_t i = 0; i < n; ++i) {
+      fin = fin && std::isfinite(p[i]);
+      lo = std::min(lo, p[i]);
+      hi = std::max(hi, p[i]);
     }
     partial[b] = ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
   });
@@ -190,75 +225,6 @@ ValueRange field_range_blocked(std::span<const T> data) {
     r.finite = r.finite && partial[b].finite;
   }
   return r;
-}
-
-/// min/max for a viewless source: one chunk-sized staging buffer, serial
-/// positional reads.  Costs a second pass over the file, which only a
-/// relative/PSNR bound pays — an absolute bound skips the scan entirely.
-template <typename T>
-ValueRange field_range_streamed(const io::FieldSource& src, std::size_t count) {
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
-  std::vector<std::uint8_t> buf(std::min(count, kChunk) * sizeof(T));
-  ValueRange r{};
-  bool first = true;
-  for (std::size_t begin = 0; begin < count; begin += kChunk) {
-    const std::size_t n = std::min(kChunk, count - begin);
-    src.read_at(begin * sizeof(T), std::span<std::uint8_t>(buf.data(), n * sizeof(T)));
-    const T* p = reinterpret_cast<const T*>(buf.data());
-    T lo = p[0];
-    T hi = p[0];
-    bool fin = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      fin = fin && std::isfinite(p[i]);
-      lo = std::min(lo, p[i]);
-      hi = std::max(hi, p[i]);
-    }
-    const ValueRange part{static_cast<double>(lo), static_cast<double>(hi), fin};
-    if (first) {
-      r = part;
-      first = false;
-    } else {
-      r.min = std::min(r.min, part.min);
-      r.max = std::max(r.max, part.max);
-      r.finite = r.finite && part.finite;
-    }
-  }
-  return r;
-}
-
-/// Dynamic one-level fan-out: `count` independent work items claimed by up
-/// to `workers` threads from a shared counter (no static pre-assignment, so
-/// uneven item cost load-balances).  Exceptions are captured and the
-/// lowest-index one is rethrown after every item has run, exactly like
-/// sim::launch_blocks.  Used for compress_many fields and decompress slabs.
-template <typename Body>
-void fan_out_dynamic(std::size_t count, std::size_t workers, const Body& body) {
-#ifdef _OPENMP
-  if (workers > 1 && count > 1 && !sim::in_parallel_worker()) {
-    std::atomic<std::size_t> next{0};
-    sim::detail::FirstBlockError err;
-    const int team = static_cast<int>(std::min(workers, count));
-#pragma omp parallel num_threads(team)
-    {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        try {
-          body(i);
-        } catch (...) {
-          err.note(i);
-        }
-      }
-    }
-    err.rethrow_if_set();
-    return;
-  }
-#else
-  (void)workers;
-#endif
-  // Serial: the first fault is the lowest-index fault, so direct
-  // propagation already matches the parallel path's determinism.
-  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 /// High-water accounting for bytes the pipeline itself holds resident:
@@ -335,7 +301,7 @@ struct PipelineSeconds {
 /// nobody else holds the packer role — draining consecutive finished items
 /// through `consume` in index order.  On faults the lowest-index error wins
 /// deterministically (claims are monotonic, so every item below a faulting
-/// one ran to completion).
+/// one ran to completion and is still consumed).
 ///
 /// Single-worker runs execute serially: the two-phase reference schedule
 /// (produce everything, then consume everything) when `interleave_serial`
@@ -383,13 +349,18 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
     try {
       auto ctx = make_ctx();
       std::unique_lock<std::mutex> lk(st.m);
+      // Items below the lowest recorded fault are still consumed after a
+      // stop, so a consume fault (say, a slab that does not tile) outranks a
+      // produce fault above it — the verdict a serial run gives.
+      const auto drainable = [&] {
+        return st.frontier < count && st.frontier < st.err_slab && st.ready[st.frontier] != 0;
+      };
       for (;;) {
-        if (st.stop) return;
-        if (!st.packing && st.frontier < count && st.ready[st.frontier] != 0) {
+        if (!st.packing && drainable()) {
           // Packer role: exclusive by the `packing` flag, in index order by
           // the frontier — so consume() needs no further synchronization.
           st.packing = true;
-          while (!st.stop && st.frontier < count && st.ready[st.frontier] != 0) {
+          while (drainable()) {
             const std::size_t s = st.frontier;
             Item item = std::move(st.done[s]);
             lk.unlock();
@@ -447,10 +418,11 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
           st.cv.notify_all();
           continue;
         }
-        if (st.frontier >= count) return;  // everything consumed
+        // Everything consumed, or stopping with nothing to drain now (the
+        // worker that finishes the frontier item drains what follows it).
+        if (st.stop || st.frontier >= count) return;
         st.cv.wait(lk, [&] {
-          return st.stop || st.frontier >= count ||
-                 (!st.packing && st.ready[st.frontier] != 0) ||
+          return st.stop || st.frontier >= count || (!st.packing && drainable()) ||
                  (st.next < count && st.next < st.frontier + window);
         });
       }
@@ -475,18 +447,30 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
 }
 
 /// Per-worker pipeline context: a leased workspace (under a parallel
-/// config) and a slab staging buffer for viewless sources.  Staging prefers
-/// the workspace's tracked slab_io buffer so steady-state out-of-core runs
+/// config) and a staging buffer for viewless sources.  Staging prefers the
+/// workspace's tracked slab_io buffer so steady-state out-of-core runs
 /// allocate nothing; a worker without a lease falls back to its own vector.
 struct WorkerCtx {
   WorkspaceLease lease;
   std::vector<std::uint8_t> own_buf;
   std::size_t charged = 0;  ///< staging capacity already on the meter
-};
 
-std::vector<std::uint8_t>& staging_buffer(WorkerCtx& ctx) {
-  return ctx.lease ? ctx.lease->slab_io : ctx.own_buf;
-}
+  /// One item's ingest: source_bytes() into this worker's staging buffer,
+  /// with the read timed and staging growth charged to the meter.
+  std::span<const std::uint8_t> stage(const io::FieldSource& src, std::size_t pos,
+                                      std::size_t len, PhaseClock& clock,
+                                      ResidencyMeter& meter) {
+    std::vector<std::uint8_t>& buf = lease ? lease->slab_io : own_buf;
+    sim::Timer t;
+    const std::span<const std::uint8_t> bytes = source_bytes(src, pos, len, buf);
+    clock.add_read(t.seconds());
+    if (buf.capacity() > charged) {
+      meter.add(buf.capacity() - charged);
+      charged = buf.capacity();
+    }
+    return bytes;
+  }
+};
 
 template <typename T>
 StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor& compressor,
@@ -507,22 +491,17 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   StreamingStats stats;
   stats.original_bytes = src.size_bytes();
 
-  const std::span<const std::uint8_t> view = src.view();
-  const T* view_elems = view.empty() ? nullptr : reinterpret_cast<const T*>(view.data());
   ResidencyMeter meter;
   PhaseClock clock;
 
   // Resolve a relative/PSNR bound against the whole field once, so every
   // slab carries the same absolute bound.  An absolute bound needs no field
-  // scan at all — finiteness is re-validated by each slab's own compress
-  // pass — which removes the serial whole-field read that used to run
-  // before any worker could start.
+  // scan at all: finiteness is re-validated by each slab's own compress
+  // pass.
   sim::Timer phase_timer;
   CompressConfig slab_cfg = cfg.base;
   if (cfg.base.eb.mode != EbMode::kAbsolute) {
-    const ValueRange range = view_elems != nullptr
-                                 ? field_range_blocked(std::span<const T>(view_elems, total))
-                                 : field_range_streamed<T>(src, total);
+    const ValueRange range = field_range_blocked<T>(src, total);
     if (!range.finite) {
       throw std::invalid_argument("StreamingCompressor::compress: non-finite values");
     }
@@ -558,18 +537,11 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   };
 
   // How many workers actually run: the config's parallel switch, the
-  // machine, the plan, and the memory budget all cap it, and a compress
-  // nested under an outer fan-out (compress_many) always runs single-worker
-  // so the fan-out stays explicitly one-level.
-  std::size_t exec_workers = 1;
-#ifdef _OPENMP
-  if (cfg.parallel && !sim::in_parallel_worker()) {
-    exec_workers = std::min({plan.workers, plan.slabs.count});
-  }
-#endif
-  stats.workers_used = std::max<std::size_t>(1, exec_workers);
-  const std::size_t window = std::max<std::size_t>(
-      1, cfg.queue_window != 0 ? cfg.queue_window : 2 * std::max<std::size_t>(1, exec_workers));
+  // machine, the plan, and the memory budget all cap it.
+  const std::size_t exec_workers =
+      pipeline_workers(cfg, std::min(plan.workers, plan.slabs.count));
+  stats.workers_used = exec_workers;
+  const std::size_t window = queue_window(cfg, exec_workers);
 
   const auto make_ctx = [&] {
     // Lease iff the config is parallel (single-worker parallel runs keep
@@ -582,22 +554,10 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
     Extents sub;
     std::size_t offset = 0;
     slab_geom(s, sub, offset);
-    std::span<const T> span;
-    if (view_elems != nullptr) {
-      span = std::span<const T>(view_elems + offset, sub.count());
-    } else {
-      std::vector<std::uint8_t>& buf = staging_buffer(ctx);
-      const std::size_t nbytes = sub.count() * sizeof(T);
-      sim::Timer rt;
-      buf.resize(nbytes);
-      src.read_at(offset * sizeof(T), std::span<std::uint8_t>(buf.data(), nbytes));
-      clock.add_read(rt.seconds());
-      if (buf.capacity() > ctx.charged) {
-        meter.add(buf.capacity() - ctx.charged);
-        ctx.charged = buf.capacity();
-      }
-      span = std::span<const T>(reinterpret_cast<const T*>(buf.data()), sub.count());
-    }
+    const std::span<const T> span(
+        reinterpret_cast<const T*>(
+            ctx.stage(src, offset * sizeof(T), sub.count() * sizeof(T), clock, meter).data()),
+        sub.count());
     Compressed slab = ctx.lease ? compressor.compress(span, sub, slab_cfg, *ctx.lease)
                                 : compressor.compress(span, sub, slab_cfg);
     meter.add(slab.bytes.size());  // parked until the packer drains it
@@ -670,6 +630,11 @@ StreamingCompressed compress_impl(const StreamingConfig& cfg, const Compressor& 
   return out;
 }
 
+/// Whole fields through the ordered pipeline: produce = compress field f
+/// (nested under the pipeline's workers, so each field runs single-worker
+/// and the fan-out stays one level), consume = store it.  Workers are capped
+/// at the field count and the window spans every field, so claims never
+/// wait on the in-order drain; the lowest-index fault wins, as everywhere.
 template <typename T>
 std::vector<StreamingCompressed> compress_many_impl(const StreamingConfig& cfg,
                                                     const Compressor& compressor,
@@ -679,19 +644,13 @@ std::vector<StreamingCompressed> compress_many_impl(const StreamingConfig& cfg,
     throw std::invalid_argument(
         "StreamingCompressor::compress_many: one extents entry per field required");
   }
-  std::vector<StreamingCompressed> out(fields.size());
-  const auto compress_field = [&](std::size_t f) {
-    out[f] = compress_impl(cfg, compressor, fields[f], exts[f]);
-  };
-  if (cfg.parallel) {
-    // Fields fan out across workers; each nested compress_impl detects the
-    // active outer region and runs single-worker (stats.workers_used == 1),
-    // so the fan-out is explicitly one-level regardless of the OpenMP
-    // runtime's nesting default.
-    fan_out_dynamic(fields.size(), resolve_workers(cfg), compress_field);
-  } else {
-    for (std::size_t f = 0; f < fields.size(); ++f) compress_field(f);
-  }
+  const std::size_t count = fields.size();
+  std::vector<StreamingCompressed> out(count);
+  run_ordered_pipeline<StreamingCompressed>(
+      count, pipeline_workers(cfg, std::min(resolve_workers(cfg), count)), count,
+      /*interleave_serial=*/true, [] { return 0; },
+      [&](int&, std::size_t f) { return compress_impl(cfg, compressor, fields[f], exts[f]); },
+      [&](std::size_t f, StreamingCompressed&& c) { out[f] = std::move(c); });
   return out;
 }
 
@@ -701,11 +660,12 @@ struct ContainerHeader {
   std::size_t slabs;
 };
 
-/// Parse and validate the fixed container prefix.  The slab-count bound is
-/// checked separately (check_slab_bound) so callers reading the header from
-/// a 40-byte staging buffer can bound against the *file's* remaining bytes
-/// rather than the buffer's.
-ContainerHeader read_header_fields(ByteReader& r) {
+/// Parse and validate the fixed container prefix — all slab_count() reads —
+/// including the bound that every declared slab needs at least its 16-byte
+/// directory entry in the bytes that follow.
+ContainerHeader read_header(const io::FieldSource& src) {
+  std::vector<std::uint8_t> staging;
+  ByteReader r(source_bytes(src, 0, std::min(src.size_bytes(), kContainerHeaderBytes), staging));
   r.set_segment("header");
   if (r.get<std::uint32_t>() != kContainerMagic) {
     throw DecodeError(DecodeErrorKind::kBadMagic, "header", "not an SZPC container");
@@ -743,120 +703,114 @@ ContainerHeader read_header_fields(ByteReader& r) {
     throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
                       "extents overflow the element count");
   }
-  return h;
-}
-
-/// Each slab entry is at least a u64 offset plus a u64 length prefix;
-/// `available` is whatever byte count follows the header (buffer remainder
-/// in memory, file size minus header on disk).
-void check_slab_bound(const ContainerHeader& h, std::size_t available) {
+  const std::size_t available = src.size_bytes() - kContainerHeaderBytes;
   if (h.slabs > available / 16) {
     throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
                       "slab count " + std::to_string(h.slabs) + " exceeds what " +
                           std::to_string(available) + " remaining bytes can hold");
   }
-}
-
-ContainerHeader read_header(ByteReader& r) {
-  ContainerHeader h = read_header_fields(r);
-  check_slab_bound(h, r.remaining());
   return h;
 }
 
-/// Walk the slab directory without decoding payloads: inspect each nested
-/// archive's header and require the slabs to tile the field back-to-back,
-/// exactly as the writer lays them out.  Runs *before* the output field is
-/// allocated, so spliced extents cannot drive a huge resize.
-ContainerIndex index_impl(std::span<const std::uint8_t> container) {
-  ByteReader r(container);
-  const ContainerHeader h = read_header(r);
-  ContainerIndex idx;
-  idx.extents = h.extents;
-  idx.dtype = h.dtype;
-  idx.slabs.reserve(h.slabs);
-  std::uint64_t covered = 0;
-  const std::uint64_t total = h.extents.count();
-  for (std::size_t s = 0; s < h.slabs; ++s) {
+/// Where one slab's nested archive sits, as its directory entry declares.
+struct SlabRef {
+  std::size_t field_offset;  ///< declared element offset in the field
+  std::size_t payload_pos;   ///< byte position of the nested archive
+  std::size_t payload_len;   ///< its byte length
+};
+
+struct ContainerMap {
+  ContainerHeader header{};
+  std::vector<SlabRef> slabs;
+  std::size_t max_payload = 0;
+};
+
+/// The one container walker: the header, then each directory entry's
+/// declared offset and payload span, bounds-checked against the source size
+/// so a spliced length can never drive a read past the end.  Every source
+/// (span, mmap, pread) walks through source_bytes(), so the same bytes get
+/// the same verdict on every route, classified as ByteReader classifies
+/// them: a fixed-size field cut short is `truncated`, a declared length or
+/// slab count past the remaining bytes is `length-overflow`.  Payloads are
+/// not touched: index() inspects them, the decode engine decodes them.
+ContainerMap walk_container(const io::FieldSource& src) {
+  const std::size_t size = src.size_bytes();
+  ContainerMap map;
+  map.header = read_header(src);
+  map.slabs.reserve(map.header.slabs);
+  std::vector<std::uint8_t> staging;
+  std::size_t pos = kContainerHeaderBytes;
+  for (std::size_t s = 0; s < map.header.slabs; ++s) {
+    ByteReader r(source_bytes(src, pos, std::min<std::size_t>(16, size - pos), staging));
     r.set_segment("slab directory");
-    ContainerSlab ref{};
-    ref.offset = r.get<std::uint64_t>();
-    ref.bytes = r.get_bytes();
-    const auto info = Compressor::inspect(ref.bytes);
-    if (info.dtype != h.dtype) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " element type disagrees with the container");
-    }
-    ref.count = info.extents.count();
-    if (ref.offset != covered || covered + ref.count > total) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " at offset " +
-                            std::to_string(ref.offset) + " does not tile the field");
-    }
-    covered += ref.count;
-    idx.slabs.push_back(ref);
+    const auto offset = r.get<std::uint64_t>();
+    const auto len = r.get<std::uint64_t>();
+    pos += 16;
+    if (len > size - pos) throw ByteReader::length_overflow("slab directory", len, 1, size - pos);
+    map.slabs.push_back(SlabRef{static_cast<std::size_t>(offset), pos,
+                                static_cast<std::size_t>(len)});
+    map.max_payload = std::max(map.max_payload, static_cast<std::size_t>(len));
+    pos += static_cast<std::size_t>(len);
   }
+  return map;
+}
+
+// Slab checks shared by index() and the decode engine, so a container whose
+// slabs disagree with it gets the same verdict on every route.
+
+void check_slab_dtype(std::size_t s, DType slab, DType container) {
+  if (slab != container) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
+                      "slab " + std::to_string(s) + " element type disagrees with the container");
+  }
+}
+
+/// Slab `s` must start where the slabs before it (`covered` elements) end,
+/// and stay inside the field's `total` elements.
+void check_slab_tiles(std::size_t s, std::size_t offset, std::size_t count, std::size_t covered,
+                      std::size_t total) {
+  if (offset != covered || covered + count > total) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
+                      "slab " + std::to_string(s) + " at offset " + std::to_string(offset) +
+                          " does not tile the field");
+  }
+}
+
+void check_slabs_cover(std::size_t covered, std::size_t total) {
   if (covered != total) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
                       "slabs cover " + std::to_string(covered) + " of " + std::to_string(total) +
                           " elements");
   }
+}
+
+/// Walk the directory and inspect every nested archive's header (CRC
+/// included) without decoding payloads, requiring the slabs to tile the
+/// field back-to-back.  decompress() runs this before it allocates the
+/// output field, so spliced extents cannot drive a huge resize.
+ContainerIndex index_impl(std::span<const std::uint8_t> container) {
+  const ContainerMap map = walk_container(io::SpanFieldSource(container));
+  ContainerIndex idx;
+  idx.extents = map.header.extents;
+  idx.dtype = map.header.dtype;
+  idx.slabs.reserve(map.slabs.size());
+  const std::size_t total = idx.extents.count();
+  std::size_t covered = 0;
+  for (std::size_t s = 0; s < map.slabs.size(); ++s) {
+    ContainerSlab slab{map.slabs[s].field_offset, 0,
+                       container.subspan(map.slabs[s].payload_pos, map.slabs[s].payload_len)};
+    const auto info = Compressor::inspect(slab.bytes);
+    check_slab_dtype(s, info.dtype, idx.dtype);
+    slab.count = info.extents.count();
+    check_slab_tiles(s, slab.offset, slab.count, covered, total);
+    covered += slab.count;
+    idx.slabs.push_back(slab);
+  }
+  check_slabs_cover(covered, total);
   return idx;
 }
 
-/// Structural map of a container read through a viewless source: header
-/// plus the byte position/length of every slab payload.  Bounds-checks the
-/// directory against the file size (so a spliced length cannot drive reads
-/// past the end) but defers tiling validation to the in-order consume pass
-/// — the out-of-core decode never allocates the whole field, so there is no
-/// huge-resize hazard to front-run.
-struct FileSlabRef {
-  std::size_t field_offset;
-  std::size_t payload_pos;
-  std::size_t payload_len;
-};
-
-struct FileContainerMap {
-  ContainerHeader header{};
-  std::vector<FileSlabRef> slabs;
-  std::size_t max_payload = 0;
-};
-
-FileContainerMap walk_container(const io::FieldSource& src) {
-  const std::size_t fsize = src.size_bytes();
-  std::array<std::uint8_t, kContainerHeaderBytes> hb{};
-  const std::size_t hlen = std::min<std::size_t>(fsize, hb.size());
-  src.read_at(0, std::span<std::uint8_t>(hb.data(), hlen));
-  ByteReader r(std::span<const std::uint8_t>(hb.data(), hlen));
-  FileContainerMap map;
-  map.header = read_header_fields(r);  // throws kTruncated when hlen < header
-  check_slab_bound(map.header, fsize - kContainerHeaderBytes);
-  map.slabs.reserve(map.header.slabs);
-  std::size_t pos = kContainerHeaderBytes;
-  for (std::size_t s = 0; s < map.header.slabs; ++s) {
-    if (fsize - pos < 16) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "slab directory",
-                        "need 16 bytes, have " + std::to_string(fsize - pos));
-    }
-    std::array<std::uint8_t, 16> entry{};
-    src.read_at(pos, std::span<std::uint8_t>(entry.data(), entry.size()));
-    std::uint64_t off = 0;
-    std::uint64_t len = 0;
-    std::memcpy(&off, entry.data(), 8);
-    std::memcpy(&len, entry.data() + 8, 8);
-    if (len > fsize - pos - 16) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "slab directory",
-                        "need " + std::to_string(len) + " bytes, have " +
-                            std::to_string(fsize - pos - 16));
-    }
-    map.slabs.push_back(FileSlabRef{static_cast<std::size_t>(off), pos + 16,
-                                    static_cast<std::size_t>(len)});
-    map.max_payload = std::max(map.max_payload, static_cast<std::size_t>(len));
-    pos += 16 + static_cast<std::size_t>(len);
-  }
-  return map;
-}
-
-/// One decoded slab flowing through the out-of-core decode pipeline.
+/// One decoded slab flowing through the decode pipeline.
 struct DecodedSlab {
   Decompressed d;
   std::size_t declared_offset = 0;  ///< element offset from the directory
@@ -877,15 +831,15 @@ std::span<const std::uint8_t> decoded_bytes(const Decompressed& d) {
 /// produce_cost bounds what one in-flight slab holds (payload staging plus
 /// its decoded elements), park_cost what a finished slab parks awaiting
 /// in-order emission (decoded elements only; the staging buffer is reused).
-void resolve_decode_budget(std::size_t budget, std::size_t produce_cost, std::size_t park_cost,
-                           std::size_t cfg_window, std::size_t& workers, std::size_t& window) {
+void resolve_decode_budget(const StreamingConfig& cfg, std::size_t produce_cost,
+                           std::size_t park_cost, std::size_t& workers, std::size_t& window) {
+  const std::size_t budget = cfg.memory_budget;
   if (budget == 0) return;
   produce_cost = std::max<std::size_t>(1, produce_cost);
   park_cost = std::max<std::size_t>(1, park_cost);
   std::size_t w = std::max<std::size_t>(1, workers);
   for (;;) {
-    const std::size_t q =
-        std::max<std::size_t>(1, cfg_window != 0 ? cfg_window : 2 * w);
+    const std::size_t q = queue_window(cfg, w);
     if (w * produce_cost + q * park_cost <= budget) {
       workers = w;
       window = q;
@@ -905,97 +859,45 @@ void resolve_decode_budget(std::size_t budget, std::size_t produce_cost, std::si
       std::to_string(produce_cost + park_cost) + " bytes");
 }
 
-StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
+/// The one decode engine, for file pread, file mmap and in-memory
+/// decompress() alike: walk the directory, decode slabs through the ordered
+/// pipeline, and emit raw element bytes to `sink` strictly in field order,
+/// checking the tiling as they pass.  Never materializes the whole field
+/// itself: residency is staging plus parked decoded slabs.
+StreamingFileInfo decompress_stream_impl(const io::FieldSource& src, io::ContainerSink& sink,
                                          const StreamingConfig& cfg) {
-  const std::span<const std::uint8_t> view = src.view();
   ResidencyMeter meter;
   PhaseClock clock;
   StreamingFileInfo out;
   out.stats.compressed_bytes = src.size_bytes();
 
-  // Directory pass: zero-copy via the validated in-memory index when the
-  // source has a view (span, mmap); a structural walk with positional reads
-  // otherwise, with tiling validated incrementally by the in-order consume.
-  ContainerIndex idx;
-  FileContainerMap map;
-  const bool has_view = !view.empty();
-  std::size_t slab_count = 0;
-  std::size_t esize = 0;
-  std::size_t max_slab_elems_est = 0;
-  if (has_view) {
-    idx = index_impl(view);
-    out.dtype = idx.dtype;
-    out.extents = idx.extents;
-    slab_count = idx.slabs.size();
-    std::size_t max_payload = 0;
-    for (const ContainerSlab& ref : idx.slabs) {
-      max_payload = std::max(max_payload, ref.bytes.size());
-      max_slab_elems_est = std::max(max_slab_elems_est, ref.count);
-    }
-    map.max_payload = max_payload;
-  } else {
-    map = walk_container(src);
-    out.dtype = map.header.dtype;
-    out.extents = map.header.extents;
-    slab_count = map.slabs.size();
-    // Uniform tiling (constant thickness, short last slab) makes the mean a
-    // tight estimate of the largest decoded slab for the budget model.
-    max_slab_elems_est = slab_count == 0
-                             ? 0
-                             : (out.extents.count() + slab_count - 1) / slab_count;
-  }
-  esize = out.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double);
+  const ContainerMap map = walk_container(src);
+  out.dtype = map.header.dtype;
+  out.extents = map.header.extents;
+  const std::size_t slab_count = map.slabs.size();
+  const std::size_t esize = out.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double);
   const std::size_t total = out.extents.count();
 
-  std::size_t exec_workers = 1;
-#ifdef _OPENMP
-  if (cfg.parallel && !sim::in_parallel_worker()) {
-    exec_workers = std::min(resolve_workers(cfg), std::max<std::size_t>(1, slab_count));
-  }
-#endif
-  std::size_t window = std::max<std::size_t>(
-      1, cfg.queue_window != 0 ? cfg.queue_window : 2 * std::max<std::size_t>(1, exec_workers));
-  const std::size_t park_cost = max_slab_elems_est * esize;
-  const std::size_t produce_cost = (has_view ? 0 : map.max_payload) + park_cost;
-  resolve_decode_budget(cfg.memory_budget, produce_cost, park_cost, cfg.queue_window,
-                        exec_workers, window);
-  out.stats.workers_used = std::max<std::size_t>(1, exec_workers);
+  std::size_t exec_workers = pipeline_workers(cfg, std::min(resolve_workers(cfg), slab_count));
+  std::size_t window = queue_window(cfg, exec_workers);
+  // Uniform tiling (constant thickness, short last slab) makes the mean a
+  // close estimate of the largest decoded slab for the budget model; a
+  // view-backed source stages no payload bytes.
+  const std::size_t park_cost = (slab_count == 0 ? 0 : sim::div_ceil(total, slab_count)) * esize;
+  const std::size_t produce_cost = (src.view().empty() ? map.max_payload : 0) + park_cost;
+  resolve_decode_budget(cfg, produce_cost, park_cost, exec_workers, window);
+  out.stats.workers_used = exec_workers;
   out.stats.eb_abs = 0.0;  // per-slab bounds live in the slab archives
 
-  const auto make_ctx = [&] { return WorkerCtx{}; };
+  const auto make_ctx = [] { return WorkerCtx{}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> DecodedSlab {
+    const SlabRef& ref = map.slabs[s];
     DecodedSlab item;
-    if (has_view) {
-      const ContainerSlab& ref = idx.slabs[s];
-      item.d = Compressor::decompress(ref.bytes);
-      item.declared_offset = ref.offset;
-      const std::size_t decoded =
-          idx.dtype == DType::kFloat32 ? item.d.data.size() : item.d.data_f64.size();
-      if (decoded != ref.count) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab decoded to " + std::to_string(decoded) +
-                              " elements, its header declared " + std::to_string(ref.count));
-      }
-    } else {
-      const FileSlabRef& ref = map.slabs[s];
-      std::vector<std::uint8_t>& buf = staging_buffer(ctx);
-      sim::Timer rt;
-      buf.resize(ref.payload_len);
-      src.read_at(ref.payload_pos, std::span<std::uint8_t>(buf.data(), ref.payload_len));
-      clock.add_read(rt.seconds());
-      if (buf.capacity() > ctx.charged) {
-        meter.add(buf.capacity() - ctx.charged);
-        ctx.charged = buf.capacity();
-      }
-      item.d = Compressor::decompress(std::span<const std::uint8_t>(buf.data(), buf.size()));
-      item.declared_offset = ref.field_offset;
-      if (item.d.dtype != out.dtype) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab " + std::to_string(s) +
-                              " element type disagrees with the container");
-      }
-    }
+    item.d = Compressor::decompress(
+        ctx.stage(src, ref.payload_pos, ref.payload_len, clock, meter));
+    item.declared_offset = ref.field_offset;
+    check_slab_dtype(s, item.d.dtype, out.dtype);
     item.resident = decoded_bytes(item.d).size();
     meter.add(item.resident);
     return item;
@@ -1005,11 +907,7 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
   const auto consume = [&](std::size_t s, DecodedSlab&& item) {
     const std::span<const std::uint8_t> bytes = decoded_bytes(item.d);
     const std::size_t n = bytes.size() / esize;
-    if (item.declared_offset != covered || covered + n > total) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " at offset " +
-                            std::to_string(item.declared_offset) + " does not tile the field");
-    }
+    check_slab_tiles(s, item.declared_offset, n, covered, total);
     SlabInfo info;
     info.extents = item.d.extents;
     info.offset = item.declared_offset;
@@ -1024,11 +922,7 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
 
   const PipelineSeconds t = run_ordered_pipeline<DecodedSlab>(
       slab_count, exec_workers, window, /*interleave_serial=*/true, make_ctx, produce, consume);
-  if (covered != total) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                      "slabs cover " + std::to_string(covered) + " of " + std::to_string(total) +
-                          " elements");
-  }
+  check_slabs_cover(covered, total);
   sink.finish();
 
   out.stats.phases.read_seconds = clock.read;
@@ -1041,6 +935,25 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
   out.stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
   return out;
 }
+
+/// Sink over a pre-sized output field: each write lands at the running
+/// offset, so in-memory decompress() copies every slab exactly once.  The
+/// engine's tiling check runs before every write, so writes never overrun.
+class FieldSink final : public io::ContainerSink {
+ public:
+  explicit FieldSink(std::span<std::uint8_t> field) : field_(field) {}
+
+  void write(std::span<const std::uint8_t> bytes) override {
+    std::memcpy(field_.data() + written_, bytes.data(), bytes.size());
+    written_ += bytes.size();
+  }
+  [[nodiscard]] std::size_t bytes_written() const override { return written_; }
+  [[nodiscard]] std::string name() const override { return "<memory>"; }
+
+ private:
+  std::span<std::uint8_t> field_;
+  std::size_t written_ = 0;
+};
 
 io::SourceMode source_mode(const StreamingConfig& cfg) {
   return cfg.use_mmap ? io::SourceMode::kAuto : io::SourceMode::kRead;
@@ -1137,10 +1050,8 @@ std::vector<StreamingCompressed> StreamingCompressor::compress_many(
 }
 
 std::size_t StreamingCompressor::slab_count(std::span<const std::uint8_t> container) {
-  return decode_guard("streaming container", [&] {
-    ByteReader r(container);
-    return read_header(r).slabs;
-  });
+  return decode_guard("streaming container",
+                      [&] { return read_header(io::SpanFieldSource(container)).slabs; });
 }
 
 ContainerIndex StreamingCompressor::index(std::span<const std::uint8_t> container) {
@@ -1154,46 +1065,26 @@ StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8
 StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container,
                                                       const StreamingConfig& cfg) {
   return decode_guard("streaming container", [&] {
+    // The index proves the tiling before the output field is allocated;
+    // then the decode engine drains slabs in order straight into it.  The
+    // output is resident by definition, so the memory budget does not apply.
     const ContainerIndex idx = index_impl(container);
-
     StreamingDecompressed out;
     out.extents = idx.extents;
     out.dtype = idx.dtype;
+    std::span<std::uint8_t> field;
     if (idx.dtype == DType::kFloat32) {
       out.data.resize(idx.extents.count());
+      field = {reinterpret_cast<std::uint8_t*>(out.data.data()), out.data.size() * sizeof(float)};
     } else {
       out.data_f64.resize(idx.extents.count());
+      field = {reinterpret_cast<std::uint8_t*>(out.data_f64.data()),
+               out.data_f64.size() * sizeof(double)};
     }
-
-    // Slabs decode into their disjoint output ranges (the directory pass
-    // proved the tiling), claimed dynamically by up to cfg.workers threads
-    // when cfg.parallel — and genuinely serially otherwise, so a serial
-    // config serializes both directions.
-    const auto decode_slab = [&](std::size_t s) {
-      const ContainerSlab& ref = idx.slabs[s];
-      auto slab = Compressor::decompress(ref.bytes);
-      // The directory pass validated offset/count tiling from the slab
-      // headers; re-check against the decoded payload before the copy.
-      const std::size_t decoded =
-          idx.dtype == DType::kFloat32 ? slab.data.size() : slab.data_f64.size();
-      if (decoded != ref.count) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab decoded to " + std::to_string(decoded) +
-                              " elements, its header declared " + std::to_string(ref.count));
-      }
-      if (idx.dtype == DType::kFloat32) {
-        std::copy(slab.data.begin(), slab.data.end(),
-                  out.data.begin() + static_cast<std::ptrdiff_t>(ref.offset));
-      } else {
-        std::copy(slab.data_f64.begin(), slab.data_f64.end(),
-                  out.data_f64.begin() + static_cast<std::ptrdiff_t>(ref.offset));
-      }
-    };
-    if (cfg.parallel) {
-      fan_out_dynamic(idx.slabs.size(), resolve_workers(cfg), decode_slab);
-    } else {
-      for (std::size_t s = 0; s < idx.slabs.size(); ++s) decode_slab(s);
-    }
+    StreamingConfig unbudgeted = cfg;
+    unbudgeted.memory_budget = 0;
+    FieldSink sink(field);
+    (void)decompress_stream_impl(io::SpanFieldSource(container), sink, unbudgeted);
     return out;
   });
 }

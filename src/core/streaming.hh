@@ -16,8 +16,13 @@
 // container packing (host-orchestrated, one pooled workspace per worker;
 // see DESIGN.md §2.2).  Finished slab archives are packed into the
 // container strictly in index order, so the container bytes are identical
-// to a serial run.  compress_many() applies the same one-level fan-out
-// across whole fields.
+// to a serial run.  compress_many() runs whole fields through the same
+// engine, one level deep.
+//
+// The read side has one directory walker and one decode engine for every
+// route — in-memory spans, mmap'd files and positional file reads — so the
+// same container bytes decode to the same field, or fail with the same
+// DecodeError, whichever way they arrive.
 //
 // A relative error bound is resolved against the *whole field's* range
 // before slabbing, so every slab honors the same absolute bound and the
@@ -148,7 +153,9 @@ struct ContainerSlab {
 
 /// The parsed, fully validated slab directory of a container: build it once
 /// with StreamingCompressor::index(), then decompress_slab() is O(1) per
-/// slab instead of re-walking the preceding directory entries.
+/// slab instead of re-walking the preceding directory entries.  index() is
+/// the directory walk every decode route shares, plus a header-and-CRC
+/// inspect of each slab and the check that the slabs tile the field.
 struct ContainerIndex {
   Extents extents;
   DType dtype = DType::kFloat32;
@@ -235,10 +242,13 @@ class StreamingCompressor {
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
       std::span<const std::span<const double>> fields, std::span<const Extents> exts) const;
 
-  /// Reassemble the whole field (slabs decode concurrently into their
-  /// disjoint output ranges).  The config overload honors cfg.parallel and
-  /// cfg.workers, so a serial config genuinely serializes both directions;
-  /// the no-config overload decodes with the default (parallel) config.
+  /// Reassemble the whole field: index() proves the tiling, then the output
+  /// is allocated and slabs decode concurrently through the decode engine,
+  /// landing in it in field order (one copy per slab).  The config overload
+  /// honors cfg.parallel and cfg.workers, so a serial config genuinely
+  /// serializes both directions; cfg.memory_budget does not apply (the
+  /// output is resident by definition).  The no-config overload decodes
+  /// with the default (parallel) config.
   [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container);
   [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container,
                                                         const StreamingConfig& cfg);

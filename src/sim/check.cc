@@ -330,7 +330,8 @@ struct WordShadow::Impl {
 
   void flag_cross_block(const Rec& prev, std::uint32_t buf, std::uint64_t word, bool write) {
     if (races.size() >= kMaxRacesPerLaunch) return;
-    const auto p = std::minmax(prev.block(), block);
+    // By value: minmax returns references, and prev.block() is a temporary.
+    const std::pair<std::size_t, std::size_t> p = std::minmax(prev.block(), block);
     const std::tuple<std::uint32_t, std::size_t, std::size_t> key{buf, p.first, p.second};
     if (std::find(seen_races.begin(), seen_races.end(), key) != seen_races.end()) return;
     seen_races.push_back(key);

@@ -12,6 +12,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hh"
@@ -257,6 +258,109 @@ TEST(OocoreIdentity, WorkerSweepFileMatchesMemory) {
                     reinterpret_cast<const std::uint8_t*>(reference.data.data() +
                                                           reference.data.size())))
           << workers << " workers, mmap=" << mmap;
+    }
+  }
+}
+
+// -- One verdict per damaged container, on every decode route ---------------
+
+TEST(StreamingVerdicts, SameBytesSameErrorOnEveryRoute) {
+  // Every route walks the container with the same walker and decodes through
+  // the same engine, so damaged bytes must get the same DecodeError — kind,
+  // segment and message — whether they arrive as a span, an mmap'd file, a
+  // file read positionally, or a file decoded under a memory budget.
+  TempDir tmp("verdicts");
+  const Extents ext = Extents::d1(2048);
+  const auto good = StreamingCompressor(oocore_cfg(2, 512)).compress(wave(ext.count()), ext).bytes;
+
+  // Container layout: a 40-byte header (slab count at byte 32), then per
+  // slab a u64 element offset, a u64 payload length and the payload.
+  std::vector<std::size_t> entry;
+  for (std::size_t pos = 40; pos < good.size();) {
+    entry.push_back(pos);
+    std::uint64_t len = 0;
+    std::memcpy(&len, good.data() + pos + 8, 8);
+    pos += 16 + static_cast<std::size_t>(len);
+  }
+  ASSERT_EQ(entry.size(), 4u);
+
+  const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+    auto b = good;
+    std::memcpy(b.data() + at, &v, 8);
+    return b;
+  };
+  const auto flip = [&](std::size_t at) {
+    auto b = good;
+    b[at] ^= 0x10;
+    return b;
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    DecodeErrorKind kind;
+  };
+  const std::vector<Case> cases{
+      {"slab length past the end", put_u64(entry[1] + 8, good.size()),
+       DecodeErrorKind::kLengthOverflow},
+      {"entry cut short",
+       std::vector<std::uint8_t>(good.begin(),
+                                 good.begin() + static_cast<std::ptrdiff_t>(entry[2] + 5)),
+       DecodeErrorKind::kTruncated},
+      {"slab count too large", put_u64(32, std::uint64_t{1} << 20),
+       DecodeErrorKind::kLengthOverflow},
+      {"tiling gap", put_u64(entry[1], 513), DecodeErrorKind::kCorruptStream},
+      {"bit-flipped slab payload", flip(entry[2] + 16 + 100), DecodeErrorKind::kChecksumMismatch},
+      {"tiling gap before a bit-flipped payload",
+       [&] {
+         auto b = put_u64(entry[1], 513);
+         b[entry[3] + 16 + 100] ^= 0x10;
+         return b;
+       }(),
+       DecodeErrorKind::kCorruptStream},
+      {"bad magic", flip(0), DecodeErrorKind::kBadMagic},
+      {"bad version", flip(4), DecodeErrorKind::kBadVersion},
+  };
+
+  const auto file_route = [&](bool mmap, std::size_t budget) {
+    return [&tmp, mmap, budget] {
+      StreamingConfig cfg;
+      cfg.workers = 4;
+      cfg.use_mmap = mmap;
+      cfg.memory_budget = budget;
+      (void)StreamingCompressor::decompress_file(tmp / "case.szpc", tmp / "out.f32", cfg);
+    };
+  };
+  const std::vector<std::pair<const char*, std::function<void()>>> routes{
+      {"file, mmap", file_route(true, 0)},
+      {"file, pread", file_route(false, 0)},
+      {"file, pread, budget", file_route(false, std::size_t{1} << 20)},
+      {"file, mmap, budget", file_route(true, std::size_t{1} << 20)},
+  };
+
+  for (const Case& c : cases) {
+    write_file(tmp / "case.szpc", c.bytes);
+    DecodeErrorKind kind{};
+    std::string segment;
+    std::string what;
+    try {
+      (void)StreamingCompressor::decompress(c.bytes);
+      ADD_FAILURE() << c.name << ": decompress(span) accepted the container";
+      continue;
+    } catch (const DecodeError& e) {
+      kind = e.kind();
+      segment = e.segment();
+      what = e.what();
+    }
+    EXPECT_EQ(kind, c.kind) << c.name << ": " << what;
+    for (const auto& [route, decode] : routes) {
+      try {
+        decode();
+        ADD_FAILURE() << c.name << ": " << route << " accepted the container";
+      } catch (const DecodeError& e) {
+        EXPECT_EQ(e.kind(), kind) << c.name << ", " << route << ": " << e.what();
+        EXPECT_EQ(e.segment(), segment) << c.name << ", " << route;
+        EXPECT_EQ(std::string(e.what()), what) << c.name << ", " << route;
+      }
     }
   }
 }

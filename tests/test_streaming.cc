@@ -7,6 +7,7 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +333,49 @@ TEST(StreamingParallel, CompressManyFanOutStaysOneLevel) {
   for (std::size_t f = 0; f < batch.size(); ++f) {
     EXPECT_EQ(batch[f].stats.workers_used, 1u) << "field " << f;
     EXPECT_EQ(batch[f].bytes, comp.compress(fields[f], exts[f]).bytes) << "field " << f;
+  }
+}
+
+TEST(StreamingParallel, CompressManyFaultIsTheLowestIndexEveryRun) {
+  // Fields 1 and 3 of five hold non-finite values.  Four workers race
+  // through the batch (field 3 is small, so it tends to fault first in wall
+  // time), yet every run must surface the same error: the lowest-index one.
+  StreamingConfig cfg = config_with(1000);
+  cfg.parallel = true;
+  cfg.workers = 4;
+  const StreamingCompressor comp(cfg);
+
+  const std::vector<Extents> exts{Extents::d1(4096), Extents::d1(20000), Extents::d1(3000),
+                                  Extents::d1(500), Extents::d1(2500)};
+  std::vector<std::vector<float>> storage;
+  storage.reserve(exts.size());
+  for (std::size_t f = 0; f < exts.size(); ++f) {
+    storage.push_back(field(exts[f], static_cast<std::uint32_t>(50 + f)));
+  }
+  storage[1][15000] = std::numeric_limits<float>::quiet_NaN();
+  storage[3][0] = std::numeric_limits<float>::infinity();
+
+  const auto error_of = [&](std::size_t field1_len) -> std::string {
+    std::vector<std::span<const float>> fields(storage.begin(), storage.end());
+    fields[1] = fields[1].first(field1_len);
+    try {
+      (void)comp.compress_many(fields, exts);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+
+  const std::string reference = error_of(exts[1].count());
+  EXPECT_NE(reference.find("non-finite"), std::string::npos) << reference;
+  for (int run = 0; run < 4; ++run) EXPECT_EQ(error_of(exts[1].count()), reference) << run;
+
+  // Tell the two faults apart: field 1 now also disagrees with its extents
+  // (checked before its values are scanned), field 3 is still non-finite.
+  // Field 1's error must win on every run.
+  for (int run = 0; run < 4; ++run) {
+    const std::string err = error_of(exts[1].count() - 1);
+    EXPECT_NE(err.find("data must match extents"), std::string::npos) << run << ": " << err;
   }
 }
 
