@@ -71,16 +71,27 @@ int main() {
               "parallel across rows/columns, unlike the serial raster-order Lorenzo\n"
               "reconstruction it replaces.\n");
 
-  // Cross-check against the production kernel.
-  std::vector<szp::qdiff_t> qprime = resid;
+  // Cross-check against the production kernel, which takes quant-codes
+  // (code = δ + radius) plus sparse residual-space outliers and fuses them
+  // in its tile.  Route the first residual through the outlier stream
+  // (its code parks at radius, δ' = 0) to show the branch-free fuse.
+  const szp::QuantConfig qcfg;
+  std::vector<szp::quant_t> codes(W * H);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<szp::quant_t>(resid[i] + qcfg.radius());
+  }
+  szp::sim::SparseVector<szp::qdiff_t> outliers;
+  outliers.indices.push_back(0);
+  outliers.values.push_back(resid[0]);
+  codes[0] = static_cast<szp::quant_t>(qcfg.radius());
   std::vector<float> out(W * H);
-  szp::lorenzo_reconstruct_fused(qprime, ext, 0.5, out, {});  // 2eb = 1
+  szp::lorenzo_reconstruct(codes, outliers, qcfg.radius(), ext, 0.5, out);  // 2eb = 1
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] != static_cast<float>(field[i])) {
       std::fprintf(stderr, "ERROR: kernel mismatch at %zu\n", i);
       return 1;
     }
   }
-  std::printf("production kernel (lorenzo_reconstruct_fused) agrees.\n");
+  std::printf("production kernel (lorenzo_reconstruct, one residual as an outlier) agrees.\n");
   return 0;
 }

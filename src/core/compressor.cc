@@ -201,13 +201,23 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
                             std::to_string(outliers.indices.size()) + " vs " +
                             std::to_string(outliers.values.size()) + ")");
     }
-    // Every outlier index feeds a scatter write; validate against the element
-    // count so a corrupt index cannot write outside the output buffer.
-    for (const auto idx : outliers.indices) {
+    // Every outlier index addresses one output element, and the Lorenzo
+    // reconstruct finds each row's outliers by a forward search: require
+    // strictly increasing indices below the element count, the order
+    // dense_to_sparse emits.
+    for (std::size_t k = 0; k < outliers.indices.size(); ++k) {
+      const auto idx = outliers.indices[k];
       if (idx >= n) {
         throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
                           "outlier index " + std::to_string(idx) + " outside the " +
                               std::to_string(n) + "-element grid");
+      }
+      if (k > 0 && idx <= outliers.indices[k - 1]) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
+                          "outlier indices not strictly increasing at position " +
+                              std::to_string(k) + " (" +
+                              std::to_string(outliers.indices[k - 1]) + " then " +
+                              std::to_string(idx) + ")");
       }
     }
 
@@ -218,14 +228,24 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");
     const pipeline::DecodeContext dctx{n, payload_bytes, h.version};
-    // The codec fills exactly n symbols or throws; n was validated by
-    // read_header before this allocation.
-    std::vector<quant_t> quant(n);
-    registry.codec(h.workflow).decode(r, dctx, quant, out.pipeline);
+    // The codec fills exactly n symbols or throws, so the pooled scratch is
+    // resized without a zero-fill; n was validated by read_header.  A
+    // steady-state decode of same-size fields reuses its pages.
+    auto lease = default_workspace_pool().acquire();
+    auto& quant = lease->decode_quant;
+    quant.resize(n);
+    const std::span<quant_t> codes(quant.data(), n);
+    try {
+      registry.codec(h.workflow).decode(r, dctx, codes, out.pipeline);
+    } catch (...) {
+      // A corrupt stream can declare any n: do not park its buffer in the pool.
+      sim::scratch_vector<quant_t>().swap(quant);
+      throw;
+    }
 
-    // --- Scatter outliers + predictor reconstruction ------------------------
+    // --- Predictor reconstruction (fuses the sparse outliers) ---------------
     const QuantConfig qcfg{h.capacity};
-    predictor.reconstruct(quant, outliers, aux, h.extents, h.eb_abs, qcfg, recon,
+    predictor.reconstruct(codes, outliers, aux, h.extents, h.eb_abs, qcfg, recon,
                           payload_bytes, out);
     return out;
   });

@@ -2,8 +2,8 @@
 //
 // Compression:  prequant+predict construct → gather outliers → histogram →
 //               [selector] → {Huffman | RLE [+VLE] | rANS} encode
-// Decompression: decode quant-codes → scatter outliers →
-//               predictor reconstruction → scale by 2eb.
+// Decompression: decode quant-codes → predictor reconstruction (Lorenzo
+//               fuses the sparse outliers into its partial sums) → scale by 2eb.
 //
 // The Compressor itself is thin: it validates inputs, resolves the error
 // bound, and assembles the pipeline by StageRegistry lookup
@@ -26,6 +26,7 @@
 #include "core/predictor/lorenzo.hh"
 #include "core/types.hh"
 #include "core/workspace.hh"
+#include "sim/aligned.hh"
 #include "sim/profile.hh"
 
 namespace szp {
@@ -80,8 +81,11 @@ struct Compressed {
 
 struct Decompressed {
   DType dtype = DType::kFloat32;
-  std::vector<float> data;        ///< filled when dtype == kFloat32
-  std::vector<double> data_f64;   ///< filled when dtype == kFloat64
+  /// The decoded field.  Scratch vectors: resize() leaves elements
+  /// unwritten, so the reconstruct kernel's parallel stores are the first
+  /// touch of every page.
+  sim::scratch_vector<float> data;        ///< filled when dtype == kFloat32
+  sim::scratch_vector<double> data_f64;   ///< filled when dtype == kFloat64
   Extents extents;
   sim::PipelineReport pipeline;
 };
@@ -139,8 +143,9 @@ class Compressor {
   }
 
   /// Decompress an archive produced by compress().  `recon` selects the
-  /// reconstruction kernel variant (Table II ablation); the default is the
-  /// optimized partial-sum kernel.
+  /// modeled reconstruction kernel (Table II ablation); the default is the
+  /// optimized partial-sum kernel.  Decode scratch is leased from
+  /// default_workspace_pool(), so repeated decodes allocate no code buffer.
   [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> archive,
                                                const ReconstructConfig& recon = {});
 

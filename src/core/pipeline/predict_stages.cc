@@ -18,7 +18,7 @@ namespace szp::pipeline {
 namespace {
 
 /// Dense-outlier scatter shared by the regression and interpolation decode
-/// paths (Lorenzo scatters into the fused residual field instead).
+/// paths (Lorenzo fuses the sparse outliers inside its reconstruct kernel).
 std::vector<qdiff_t> scatter_dense(const sim::SparseVector<qdiff_t>& outliers, std::size_t n,
                                    std::size_t payload_bytes, sim::PipelineReport& report) {
   sim::Timer t;
@@ -57,37 +57,21 @@ class LorenzoStage final : public PredictStage {
                    const PredictorAux&, const Extents& ext, double eb_abs,
                    const QuantConfig& qcfg, const ReconstructConfig& recon,
                    std::size_t payload_bytes, Decompressed& out) const override {
+    // Quant ⊕ outlier fuse, partial sums and the 2eb scale run in one
+    // kernel that writes every output element once (DESIGN.md §2.5): the
+    // output is not zero-filled, and its pages are first touched by the
+    // kernel's parallel stores.
     const std::size_t n = ext.count();
-    const auto radius = static_cast<std::int32_t>(qcfg.capacity / 2);
-
-    // --- Fuse quant ⊕ outlier (Algorithm 1 line 9) -------------------------
     sim::Timer t;
-    std::vector<qdiff_t> qprime(n);
-    // The streaming fuse dominates the traffic; the sparse scatter rides
-    // along (outliers are rare), so the stage keeps the streaming access
-    // profile.  Volumes for both launches come from their contracts.
-    sim::KernelCost fuse_cost;
-    {
-      sim::traffic::Scope scope;
-      fuse_quant_codes(quant, radius, qprime);
-      sim::scatter_add(outliers, std::span<qdiff_t>(qprime));
-      scope.apply(fuse_cost);
-    }
-    fuse_cost.flops = n + outliers.nnz();
-    fuse_cost.parallel_items = n;
-    fuse_cost.pattern = sim::AccessPattern::kCoalescedStreaming;
-    fuse_cost.launches = 2;
-    out.pipeline.add({"scatter_outlier", payload_bytes, t.seconds(), fuse_cost});
-
-    // --- Partial-sum Lorenzo reconstruction --------------------------------
-    t.reset();
     sim::KernelCost recon_cost;
     if (out.dtype == DType::kFloat32) {
       out.data.resize(n);
-      recon_cost = lorenzo_reconstruct_fused<float>(qprime, ext, eb_abs, out.data, recon);
+      recon_cost = lorenzo_reconstruct<float>(quant, outliers, qcfg.radius(), ext, eb_abs,
+                                              out.data, recon);
     } else {
       out.data_f64.resize(n);
-      recon_cost = lorenzo_reconstruct_fused<double>(qprime, ext, eb_abs, out.data_f64, recon);
+      recon_cost = lorenzo_reconstruct<double>(quant, outliers, qcfg.radius(), ext, eb_abs,
+                                               out.data_f64, recon);
     }
     out.pipeline.add({"lorenzo_reconstruct", payload_bytes, t.seconds(), recon_cost});
   }

@@ -78,8 +78,9 @@ class PredictStage {
   virtual void read_aux(ByteReader& r, PredictorAux& aux) const = 0;
 
   /// Rebuild the field from decoded quant-codes and the sparse outlier
-  /// stream; appends its own PipelineReport entries (scatter + reconstruct)
-  /// and fills out.data / out.data_f64 according to out.dtype.
+  /// stream (strictly increasing indices, validated by the decoder);
+  /// appends its own PipelineReport entries and fills out.data /
+  /// out.data_f64 according to out.dtype.
   virtual void reconstruct(std::span<const quant_t> quant,
                            const sim::SparseVector<qdiff_t>& outliers, const PredictorAux& aux,
                            const Extents& ext, double eb_abs, const QuantConfig& qcfg,

@@ -8,8 +8,16 @@
 //   * kNaivePartialSum    — proof-of-concept cuSZ+ kernel: chunk staged
 //     through "shared memory", one item per thread, N-pass partial sums.
 //   * kOptimizedPartialSum — the paper's optimized kernel: in-place fused
-//     passes with per-thread sequentiality (default 8), warp-shuffle style
-//     fragment propagation.
+//     passes with per-thread sequentiality, warp-shuffle style fragment
+//     propagation.
+//
+// The two partial-sum variants share one host body (lorenzo_reconstruct):
+// the variant picks only the modeled access pattern and calibration, as
+// ConstructVariant does for construction.  That body reads the decoded
+// quant-codes and the sparse residual-space outliers directly, fuses
+// quant ⊕ outlier in a block-local tile (Algorithm 1 line 9), runs the
+// partial sums there and writes each output element exactly once — no
+// dense q' intermediate, no separate scatter pass (DESIGN.md §2.5).
 //
 // Construction is chunked (256 / 16x16 / 8x8x8) with a zero prediction
 // boundary per chunk, which removes inter-chunk dependencies and is exactly
@@ -80,20 +88,28 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
                             const QuantConfig& quant, OutlierScheme scheme,
                             ConstructVariant variant, LorenzoConstructResult& res);
 
+/// Picks the modeled reconstruction kernel (Table II): access pattern and
+/// calibrated bandwidth factor.  Both partial-sum variants run the same host
+/// body and produce the same bytes; kCoarseChunkSerial is the cuSZ
+/// baseline, reachable only through lorenzo_reconstruct_coarse.
 struct ReconstructConfig {
   ReconstructVariant variant = ReconstructVariant::kOptimizedPartialSum;
-  std::size_t sequentiality = 8;  ///< items per virtual thread in scan passes
 };
 
 /// cuSZ+ fine-grained reconstruction (Algorithm 1, decompression half).
-/// `qprime` is the *fused* residual field: (quant - radius) with sparse
-/// outliers already scattered in; it is consumed in place (the partial sums
-/// overwrite it with the reconstructed prequant values).
-/// Writes d = partial_sum * 2eb into `out`.
+/// `quant` holds one code per element (code = residual + radius); the
+/// sparse `outliers` hold residual-space corrections whose indices must be
+/// strictly increasing and below ext.count() (the order dense_to_sparse
+/// emits; Compressor::decompress validates it for archives).  Computes
+/// d = partial_sum(quant - radius ⊕ outliers) * 2eb into `out`, writing
+/// every element exactly once.  Sums wrap in two's complement, so corrupt
+/// input yields defined (if meaningless) values; unsorted indices lose
+/// outliers but never touch memory outside `out`.
 template <typename T>
-sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Extents& ext,
-                                          double eb_abs, std::span<T> out,
-                                          const ReconstructConfig& cfg = {});
+sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
+                                    const sim::SparseVector<qdiff_t>& outliers,
+                                    std::int32_t radius, const Extents& ext, double eb_abs,
+                                    std::span<T> out, const ReconstructConfig& cfg = {});
 
 /// cuSZ baseline coarse-grained reconstruction: quant-codes plus a dense
 /// value-space outlier array (placeholder code 0), one virtual thread per
@@ -103,11 +119,6 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
                                            std::span<const qdiff_t> outlier_value_dense,
                                            const Extents& ext, double eb_abs,
                                            const QuantConfig& qcfg, std::span<T> out);
-
-/// Helper shared by the decompressor: q' = (quant - radius), then callers
-/// scatter outliers on top.  Returns the kernel cost of the fuse pass.
-sim::KernelCost fuse_quant_codes(std::span<const quant_t> quant, std::int32_t radius,
-                                 std::span<qdiff_t> qprime_out);
 
 // --- Container conveniences (spans are not deduced from vectors) ----------
 
@@ -121,11 +132,12 @@ template <typename T, typename A>
 }
 
 template <typename T, typename Aq, typename Ao>
-sim::KernelCost lorenzo_reconstruct_fused(std::vector<qdiff_t, Aq>& qprime, const Extents& ext,
-                                          double eb_abs, std::vector<T, Ao>& out,
-                                          const ReconstructConfig& cfg = {}) {
-  return lorenzo_reconstruct_fused(std::span<qdiff_t>(qprime.data(), qprime.size()), ext,
-                                   eb_abs, std::span<T>(out.data(), out.size()), cfg);
+sim::KernelCost lorenzo_reconstruct(const std::vector<quant_t, Aq>& quant,
+                                    const sim::SparseVector<qdiff_t>& outliers,
+                                    std::int32_t radius, const Extents& ext, double eb_abs,
+                                    std::vector<T, Ao>& out, const ReconstructConfig& cfg = {}) {
+  return lorenzo_reconstruct(std::span<const quant_t>(quant.data(), quant.size()), outliers,
+                             radius, ext, eb_abs, std::span<T>(out.data(), out.size()), cfg);
 }
 
 template <typename T, typename A>

@@ -1,8 +1,8 @@
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "core/predictor/lorenzo.hh"
-#include "sim/block_scan.hh"
 #include "sim/check.hh"
 #include "sim/launch.hh"
 
@@ -12,12 +12,20 @@ namespace {
 
 constexpr std::size_t kMaxChunkElems = 512;
 
+// The partial-sum kernel's host block is the construct's (DESIGN.md §2.4):
+// a run of whole chunks along x, at most 256 elements wide, one chunk high
+// and deep.
+constexpr std::size_t kBlockWidth = 256;
+constexpr std::size_t kMaxChunkRows = 16;  // cy of the 2-D chunk
+
 // Bandwidth derating factors calibrated from Table II of the paper (V100
 // columns): coarse cuSZ kernel, naive shared-memory partial sum, and the
-// optimized fused partial sum, per rank.
+// optimized fused partial sum, per rank.  The partial-sum factors apply to
+// the fused kernel's contract bytes: 2 B read + 4 B written per float
+// element, plus 12 B per outlier.
 constexpr std::array<double, 4> kCoarseFactor{0.0, 0.037, 0.33, 0.066};
-constexpr std::array<double, 4> kNaiveFactor{0.0, 0.56, 0.44, 0.39};
-constexpr std::array<double, 4> kFusedFactor{0.0, 0.70, 0.57, 0.53};
+constexpr std::array<double, 4> kNaiveFactor{0.0, 0.282, 0.221, 0.196};
+constexpr std::array<double, 4> kFusedFactor{0.0, 0.352, 0.287, 0.267};
 
 struct Grid {
   ChunkShape cs;
@@ -32,179 +40,153 @@ Grid make_grid(const Extents& ext) {
   return g;
 }
 
-/// N-pass in-place partial sums over one chunk of the global q' array,
-/// through an accessor (`qat(gi)` -> qdiff_t& for global index gi).
-/// This is the paper's Algorithm 1 lines 10-12: x-pass, then y-pass, then
-/// z-pass, each an inclusive scan with the requested per-thread
-/// sequentiality.  Each scan is attributed to the virtual threads that run
-/// it on the GPU — per-fragment lanes along x, one lane per column/pillar
-/// for y/z — with a barrier between passes (the kernel's __syncthreads()),
-/// so word-granular checking sees the real cooperation structure.
-template <typename QAt>
-void chunk_partial_sums_at(QAt&& qat, const Extents& ext, std::size_t x0, std::size_t y0,
-                           std::size_t z0, std::size_t w, std::size_t h, std::size_t d,
-                           std::size_t seq) {
-  // x-pass: contiguous rows, div_ceil(w, seq) lanes per row.
-  const auto lanes_per_row = static_cast<std::uint32_t>(sim::div_ceil(w, seq == 0 ? 1 : seq));
-  std::uint32_t lane_base = 0;
-  for (std::size_t lz = 0; lz < d; ++lz) {
-    for (std::size_t ly = 0; ly < h; ++ly) {
-      const std::size_t base = ext.index(z0 + lz, y0 + ly, x0);
-      sim::block_inclusive_scan_at<qdiff_t>(
-          [&](std::size_t i) -> qdiff_t& { return qat(base + i); }, w, seq, lane_base);
-      lane_base += lanes_per_row;
-    }
+/// Inclusive x scan of one tile row with a reset at every chunk start
+/// (x_in_chunk = cx - 1, cx a power of two): the chunk-local partial sum
+/// along x.  Unsigned, so sums wrap like sim::wrapping_add.
+void chunk_scan_row(std::uint32_t* row, std::size_t w, std::uint32_t x_in_chunk) {
+  std::uint32_t acc = 0;
+  for (std::size_t lx = 0; lx < w; ++lx) {
+    acc = ((lx & x_in_chunk) != 0 ? acc : 0u) + row[lx];
+    row[lx] = acc;
   }
-  sim::checked::barrier();
-  if (ext.rank < 2) return;
-  // y-pass: columns (stride nx), one lane per column.
-  std::uint32_t lane = 0;
-  for (std::size_t lz = 0; lz < d; ++lz) {
-    for (std::size_t lx = 0; lx < w; ++lx) {
-      const std::size_t base = ext.index(z0 + lz, y0, x0 + lx);
-      sim::block_inclusive_scan_strided_at<qdiff_t>(
-          [&](std::size_t k) -> qdiff_t& { return qat(base + k * ext.nx); }, h, lane++);
-    }
-  }
-  sim::checked::barrier();
-  if (ext.rank < 3) return;
-  // z-pass: pillars (stride nx*ny), one lane per pillar.
-  lane = 0;
-  for (std::size_t ly = 0; ly < h; ++ly) {
-    for (std::size_t lx = 0; lx < w; ++lx) {
-      const std::size_t base = ext.index(z0, y0 + ly, x0 + lx);
-      sim::block_inclusive_scan_strided_at<qdiff_t>(
-          [&](std::size_t k) -> qdiff_t& { return qat(base + k * ext.nx * ext.ny); }, d, lane++);
-    }
-  }
-  sim::checked::barrier();
 }
 
-/// Raw-pointer convenience wrapper (thread-private staging, interval mode).
-void chunk_partial_sums(qdiff_t* q, const Extents& ext, std::size_t x0, std::size_t y0,
-                        std::size_t z0, std::size_t w, std::size_t h, std::size_t d,
-                        std::size_t seq) {
-  chunk_partial_sums_at([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, x0, y0, z0, w,
-                        h, d, seq);
+/// dst[i] += src[i] over one tile row (the y and z partial-sum steps).
+void add_row(std::uint32_t* dst, const std::uint32_t* src, std::size_t w) {
+  for (std::size_t lx = 0; lx < w; ++lx) dst[lx] += src[lx];
 }
 
 }  // namespace
 
-sim::KernelCost fuse_quant_codes(std::span<const quant_t> quant, std::int32_t radius,
-                                 std::span<qdiff_t> qprime_out) {
-  if (quant.size() != qprime_out.size()) {
-    throw std::invalid_argument("fuse_quant_codes: size mismatch");
-  }
-  const std::size_t n = quant.size();
-  const std::size_t tiles = sim::div_ceil(n, std::size_t{1} << 16);
-  namespace chk = sim::checked;
-  namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
-  constexpr std::int64_t kTile = std::int64_t{1} << 16;
-  chk::launch("fuse_quant_codes", tiles,
-              chk::bufs(chk::in(quant, "quant"), chk::out(qprime_out, "qprime")),
-              ctr::contract(ctr::reads("quant", ctr::b() * kTile, kTile).clamp(),
-                            ctr::writes("qprime", ctr::b() * kTile, kTile).clamp()),
-              [&, n, radius](std::size_t t, const auto& vquant, const auto& vqprime) {
-    const std::size_t lo = t << 16;
-    const std::size_t hi = std::min(lo + (std::size_t{1} << 16), n);
-    for (std::size_t i = lo; i < hi; ++i) {
-      vqprime[i] = static_cast<qdiff_t>(vquant[i]) - radius;
-    }
-  });
-  sim::KernelCost c;
-  traffic_scope.apply(c);  // contract-derived: quant read + qprime write
-  c.flops = n;
-  c.parallel_items = n;
-  c.pattern = sim::AccessPattern::kCoalescedStreaming;
-  return c;
-}
-
 template <typename T>
-sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Extents& ext,
-                                          double eb_abs, std::span<T> out,
-                                          const ReconstructConfig& cfg) {
-  if (qprime.size() != ext.count() || out.size() != ext.count()) {
-    throw std::invalid_argument("lorenzo_reconstruct_fused: size mismatch");
+sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
+                                    const sim::SparseVector<qdiff_t>& outliers,
+                                    std::int32_t radius, const Extents& ext, double eb_abs,
+                                    std::span<T> out, const ReconstructConfig& cfg) {
+  if (quant.size() != ext.count() || out.size() != ext.count() ||
+      outliers.indices.size() != outliers.values.size()) {
+    throw std::invalid_argument("lorenzo_reconstruct: size mismatch");
   }
   if (cfg.variant == ReconstructVariant::kCoarseChunkSerial) {
     throw std::invalid_argument(
-        "lorenzo_reconstruct_fused: coarse variant needs lorenzo_reconstruct_coarse");
+        "lorenzo_reconstruct: coarse variant needs lorenzo_reconstruct_coarse");
   }
-  const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
-  const std::size_t seq = naive ? 1 : cfg.sequentiality;
+  const std::size_t n = ext.count();
+  const std::size_t nnz = outliers.nnz();
   const double eb2 = 2.0 * eb_abs;
-  const auto grid = make_grid(ext);
-  const ChunkShape cs = grid.cs;
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const std::size_t bw = kBlockWidth / cs.cx * cs.cx;  // whole chunks per block row
+  const auto x_in_chunk = static_cast<std::uint32_t>(cs.cx - 1);  // cx is a power of two
+  const auto bias = static_cast<std::uint32_t>(radius);
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
+  // Every block owns one box of the row-major field, `bw` wide and one chunk
+  // high and deep, for the read of `quant` and the write of `out`.  Each
+  // block consumes the outliers whose indices fall in its rows; those sets
+  // are disjoint, so nnz bounds both outlier reads over the whole launch.
   const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
+    return ctr::box(a, buf, ctr::bx() * bw, static_cast<std::int64_t>(bw),
                     ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
                     static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
                     static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
   };
-  chk::launch_3d("lorenzo_reconstruct_fused",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
-                 chk::bufs(chk::inout(qprime, "qprime"), chk::out(out, "out")),
-                 ctr::contract(tile_of(ctr::AccessKind::kReadWrite, "qprime"),
-                               tile_of(ctr::AccessKind::kWrite, "out")),
-                 [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vqprime,
-                     const auto& vout) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
+  chk::launch_3d(
+      "lorenzo_reconstruct",
+      {static_cast<std::uint32_t>(sim::div_ceil(ext.nx, bw)),
+       static_cast<std::uint32_t>(sim::div_ceil(ext.ny, cs.cy)),
+       static_cast<std::uint32_t>(sim::div_ceil(ext.nz, cs.cz))},
+      chk::bufs(chk::in(quant, "quant"),
+                chk::in(std::span<const std::uint64_t>(outliers.indices), "outlier_idx"),
+                chk::in(std::span<const qdiff_t>(outliers.values), "outlier_val"),
+                chk::out(out, "out")),
+      ctr::contract(tile_of(ctr::AccessKind::kRead, "quant"),
+                    ctr::reads_dyn("outlier_idx", static_cast<std::int64_t>(nnz)),
+                    ctr::reads_dyn("outlier_val", static_cast<std::int64_t>(nnz)),
+                    tile_of(ctr::AccessKind::kWrite, "out")),
+      [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vquant,
+          const auto& vidx, const auto& vval, const auto& vout) {
+    const std::size_t x0 = bx * bw, y0 = by * cs.cy, z0 = bz * cs.cz;
+    const std::size_t w = std::min(bw, ext.nx - x0);
     const std::size_t h = std::min(cs.cy, ext.ny - y0);
     const std::size_t d = std::min(cs.cz, ext.nz - z0);
+    const std::uint64_t* idx = vidx.data();
+    const qdiff_t* val = vval.data();
 
-    if (naive) {
-      // Proof-of-concept kernel: stage the chunk through "shared memory",
-      // scan with 1 item per thread, write back.
-      std::array<qdiff_t, kMaxChunkElems> shared;
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            shared[(lz * h + ly) * w + lx] = vqprime[ext.index(z0 + lz, y0 + ly, x0 + lx)];
-      Extents local = ext.rank == 1   ? Extents::d1(w)
-                      : ext.rank == 2 ? Extents::d2(h, w)
-                                      : Extents::d3(d, h, w);
-      chunk_partial_sums(shared.data(), local, 0, 0, 0, w, h, d, 1);
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            vqprime[ext.index(z0 + lz, y0 + ly, x0 + lx)] = shared[(lz * h + ly) * w + lx];
-    } else if (vqprime.word_granular()) {
-      // Word mode: route every scan access through the view so the shadow
-      // sees each virtual thread's per-word footprint and barrier epochs.
-      chunk_partial_sums_at([&vqprime](std::size_t gi) -> qdiff_t& { return vqprime[gi]; },
-                            ext, x0, y0, z0, w, h, d, seq);
-    } else {
-      // The scan passes walk the chunk with raw strided pointers; declare
-      // the chunk's row footprint (the union of all three passes) up front.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          vqprime.note_rw(ext.index(z0 + lz, y0 + ly, x0), w);
-      chunk_partial_sums(vqprime.data(), ext, x0, y0, z0, w, h, d, seq);
-    }
+    // "Shared memory": the current row, the running y sum of the current
+    // plane, and the z-summed rows of the previous plane.  Each is written
+    // before it is read, so nothing is zero-filled.  The partial sums are
+    // linear and wrap mod 2^32, so running x, then y, then z gives the same
+    // bits as any other order.
+    std::array<std::uint32_t, kBlockWidth> row;
+    std::array<std::uint32_t, kBlockWidth> ysum;
+    std::array<std::uint32_t, kMaxChunkRows * kBlockWidth> plane;
 
-    // Algorithm 1 line 13: scale back to data units.
-    for (std::size_t lz = 0; lz < d; ++lz)
-      for (std::size_t ly = 0; ly < h; ++ly)
-        for (std::size_t lx = 0; lx < w; ++lx) {
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          vout[gi] = static_cast<T>(static_cast<double>(vqprime[gi]) * eb2);
+    std::size_t p = 0;  // next outlier at or after the current row
+    for (std::size_t lz = 0; lz < d; ++lz) {
+      for (std::size_t ly = 0; ly < h; ++ly) {
+        const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0);
+        vquant.note_read(gi, w);
+        const quant_t* q = vquant.data() + gi;
+        for (std::size_t lx = 0; lx < w; ++lx) row[lx] = q[lx] - bias;
+
+        // Algorithm 1 line 9: fuse the row's outliers.  Rows ascend in
+        // global index, so the search only moves forward; the unsigned
+        // offset test also stops at an out-of-order index, so malformed
+        // input can never write outside the row.
+        if (p < nnz && idx[p] < gi) {
+          p = static_cast<std::size_t>(std::lower_bound(idx + p, idx + nnz, gi) - idx);
         }
+        const std::size_t p0 = p;
+        for (; p < nnz; ++p) {
+          const std::uint64_t off = idx[p] - gi;
+          if (off >= w) break;
+          row[off] += static_cast<std::uint32_t>(val[p]);
+        }
+        if (p > p0) {
+          vidx.note_read(p0, p - p0);
+          vval.note_read(p0, p - p0);
+        }
+
+        // Partial sums (Algorithm 1 lines 10-12).
+        chunk_scan_row(row.data(), w, x_in_chunk);
+        const std::uint32_t* sum = row.data();
+        if (h > 1) {
+          if (ly == 0) {
+            std::copy_n(sum, w, ysum.data());
+          } else {
+            add_row(ysum.data(), sum, w);
+          }
+          sum = ysum.data();
+        }
+        if (d > 1) {
+          std::uint32_t* zrow = plane.data() + ly * kBlockWidth;
+          if (lz == 0) {
+            std::copy_n(sum, w, zrow);
+          } else {
+            add_row(zrow, sum, w);
+          }
+          sum = zrow;
+        }
+
+        // Algorithm 1 line 13: scale back to data units, the only store.
+        vout.note_write(gi, w);
+        T* o = vout.data() + gi;
+        for (std::size_t lx = 0; lx < w; ++lx) {
+          o[lx] = static_cast<T>(static_cast<double>(static_cast<qdiff_t>(sum[lx])) * eb2);
+        }
+      }
+    }
   });
 
-  const std::size_t n = ext.count();
+  const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
   sim::KernelCost c;
-  // Contract-derived traffic (qprime is read+written in place, out stored);
-  // the simulated fused launch stands in for one launch per scan direction
-  // on the device, so the modeled launch count stays ext.rank.
+  // Contract-derived traffic (quant read, outliers read, out stored); the
+  // simulated fused launch stands in for one launch per scan direction on
+  // the device, so the modeled launch count stays ext.rank.
   traffic_scope.apply(c);
-  c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 2);
+  c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 2) + nnz;
   c.parallel_items = n;
   c.pattern = naive ? sim::AccessPattern::kTiledShared
                     : sim::AccessPattern::kCoalescedStreaming;
@@ -308,12 +290,15 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
   return c;
 }
 
-template sim::KernelCost lorenzo_reconstruct_fused<float>(std::span<qdiff_t>, const Extents&,
-                                                          double, std::span<float>,
-                                                          const ReconstructConfig&);
-template sim::KernelCost lorenzo_reconstruct_fused<double>(std::span<qdiff_t>, const Extents&,
-                                                           double, std::span<double>,
-                                                           const ReconstructConfig&);
+template sim::KernelCost lorenzo_reconstruct<float>(std::span<const quant_t>,
+                                                    const sim::SparseVector<qdiff_t>&,
+                                                    std::int32_t, const Extents&, double,
+                                                    std::span<float>, const ReconstructConfig&);
+template sim::KernelCost lorenzo_reconstruct<double>(std::span<const quant_t>,
+                                                     const sim::SparseVector<qdiff_t>&,
+                                                     std::int32_t, const Extents&, double,
+                                                     std::span<double>,
+                                                     const ReconstructConfig&);
 template sim::KernelCost lorenzo_reconstruct_coarse<float>(std::span<const quant_t>,
                                                            std::span<const qdiff_t>,
                                                            const Extents&, double,

@@ -126,8 +126,10 @@ struct StreamingCompressed {
 
 struct StreamingDecompressed {
   DType dtype = DType::kFloat32;
-  std::vector<float> data;
-  std::vector<double> data_f64;
+  /// Scratch vectors, as in Decompressed: sized without a zero-fill, so the
+  /// slab decodes are the first touch of every page.
+  sim::scratch_vector<float> data;
+  sim::scratch_vector<double> data_f64;
   Extents extents;
 };
 

@@ -16,7 +16,8 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
       vle_freq.capacity(),          rans_slots.capacity(),
       rans_chunk_bytes.capacity(),  book_freq.capacity(),
-      codec_bytes.capacity(),       slab_io.capacity(),
+      codec_bytes.capacity(),       decode_quant.capacity(),
+      slab_io.capacity(),
   };
 }
 

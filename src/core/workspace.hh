@@ -82,6 +82,13 @@ struct Workspace {
   /// repeated LZ compression allocates no staging buffer.
   std::vector<std::uint8_t> codec_bytes;
 
+  // --- Decode scratch -------------------------------------------------------
+  /// Quant-codes decoded from an archive (Compressor::decompress leases a
+  /// workspace from default_workspace_pool()).  The codec writes every
+  /// symbol, so resize() does not zero-fill, and a steady-state decode of
+  /// same-size fields reuses pages that are already resident.
+  sim::scratch_vector<quant_t> decode_quant;
+
   // --- Out-of-core slab I/O ------------------------------------------------
   /// Per-worker slab staging buffer for sources without a zero-copy view
   /// (plain-file ingest): each pipeline worker read_at()s its claimed slab
@@ -90,7 +97,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 24;
+  static constexpr std::size_t kTrackedBuffers = 25;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

@@ -7,13 +7,15 @@
 // virtual thread owns `seq` consecutive items (its thread-private tp[]
 // fragment), fragments are scanned trivially, and fragment totals are
 // propagated — exactly the three-phase scan the paper describes, so the
-// sequentiality ablation in bench/table2 exercises real code structure.
+// fragment structure is real code, not just a label.  Each fragment is
+// attributed to its virtual thread via checked::this_thread(), so
+// word-granular checking (check.hh tier 2) sees the scan as racecheck would
+// see the cub version: lanes striding over disjoint words, carries in
+// registers — benign, never flagged.
 //
-// The `_at` variants take an accessor (`at(i)` -> T&) instead of a pointer
-// and attribute each fragment to its virtual thread via
-// checked::this_thread(), so word-granular checking (check.hh tier 2) sees
-// the scan exactly as racecheck would see the cub version: lanes striding
-// over disjoint words, carries in registers — benign, never flagged.
+// The production Lorenzo kernel runs its partial sums as tile-row adds
+// (core/predictor/lorenzo_reconstruct.cc); these scans are the reference
+// primitives the substrate tests pin.
 #pragma once
 
 #include <cstddef>
@@ -34,60 +36,43 @@ template <typename T>
   return static_cast<T>(static_cast<U>(static_cast<U>(a) + static_cast<U>(b)));
 }
 
-/// Inclusive scan of at(0..n) in place, organized as ceil(n/seq) virtual
-/// threads each owning `seq` consecutive elements.  Lane l = lane_base + f
-/// is attributed fragment f's accesses; the carry lives in a register.
+/// Inclusive scan of `chunk` in place, organized as ceil(n/seq) virtual
+/// threads each owning `seq` consecutive elements; lane f is attributed
+/// fragment f's accesses and the carry lives in a register.
 /// Phase 1: each fragment scans locally (thread-private registers).
 /// Phase 2: running carry of fragment totals (the warp-shuffle propagate).
-/// No trailing barrier: callers decide where the epoch closes.
-template <typename T, typename At>
-void block_inclusive_scan_at(At&& at, std::size_t n, std::size_t seq = 8,
-                             std::uint32_t lane_base = 0) {
-  if (n == 0) return;
+/// Closes the barrier epoch afterwards, like the cub scan's __syncthreads().
+template <typename T>
+void block_inclusive_scan(std::span<T> chunk, std::size_t seq = 8) {
+  const std::size_t n = chunk.size();
   if (seq == 0) seq = 1;
   T carry{};
-  std::uint32_t lane = lane_base;
+  std::uint32_t lane = 0;
   for (std::size_t frag = 0; frag < n; frag += seq, ++lane) {
     checked::this_thread(lane);
     const std::size_t end = frag + seq < n ? frag + seq : n;
     T acc = carry;
     for (std::size_t i = frag; i < end; ++i) {
-      acc = wrapping_add<T>(acc, at(i));
-      at(i) = acc;
+      acc = wrapping_add<T>(acc, chunk[i]);
+      chunk[i] = acc;
     }
     carry = acc;
   }
-}
-
-/// Inclusive scan of `chunk` in place (contiguous convenience wrapper).
-/// Closes the barrier epoch afterwards, like the cub scan's __syncthreads().
-template <typename T>
-void block_inclusive_scan(std::span<T> chunk, std::size_t seq = 8) {
-  block_inclusive_scan_at<T>([p = chunk.data()](std::size_t i) -> T& { return p[i]; },
-                             chunk.size(), seq);
   checked::barrier();
 }
 
-/// Inclusive scan over a strided sequence via an accessor (`at(k)` -> T& for
-/// the k-th *logical* element), used for the y/z passes of the 2-D/3-D
-/// partial sums where a "row" is a column of the chunk.  One virtual thread
-/// (`lane`) owns the whole sequence.
-template <typename T, typename At>
-void block_inclusive_scan_strided_at(At&& at, std::size_t count, std::uint32_t lane = 0) {
-  checked::this_thread(lane);
-  T acc{};
-  for (std::size_t i = 0; i < count; ++i) {
-    acc = wrapping_add<T>(acc, at(i));
-    at(i) = acc;
-  }
-}
-
-/// Inclusive scan over a strided sequence (stride in elements).  Equivalent
-/// to block_inclusive_scan on the gathered sequence.
+/// Inclusive scan over a strided sequence (stride in elements), as the
+/// y/z passes of a 2-D/3-D partial sum see a chunk column.  Equivalent to
+/// block_inclusive_scan on the gathered sequence; one virtual thread owns
+/// the whole sequence.
 template <typename T>
 void block_inclusive_scan_strided(T* base, std::size_t count, std::size_t stride) {
-  block_inclusive_scan_strided_at<T>(
-      [base, stride](std::size_t k) -> T& { return base[k * stride]; }, count);
+  checked::this_thread(0);
+  T acc{};
+  for (std::size_t i = 0; i < count; ++i) {
+    acc = wrapping_add<T>(acc, base[i * stride]);
+    base[i * stride] = acc;
+  }
 }
 
 }  // namespace szp::sim

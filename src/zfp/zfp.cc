@@ -20,28 +20,43 @@ constexpr int kFracBits = 25;                 // fixed-point precision per block
 constexpr int kPlanes = 30;                   // encoded bit planes (MSB first)
 constexpr std::int16_t kEmptyBlock = -32768;  // emax sentinel for all-zero blocks
 
-/// ZFP's forward lifting transform on a stride-s 4-vector (the
-/// non-orthogonal integer approximation of the DCT).
+// Lifting arithmetic wraps in two's complement: sums and left shifts go
+// through uint32, right shifts stay arithmetic on the int32 value.  Valid
+// blocks never wrap, so the bits are ZFP's; coefficients decoded from a
+// corrupt stream wrap instead of overflowing (signed overflow is UB).
+std::int32_t wadd(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) + static_cast<std::uint32_t>(b));
+}
+std::int32_t wsub(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) - static_cast<std::uint32_t>(b));
+}
+std::int32_t wshl1(std::int32_t a) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) << 1);
+}
+
+}  // namespace
+
 void fwd_lift(std::int32_t* p, std::size_t s) {
   std::int32_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
-  x += w; x >>= 1; w -= x;
-  z += y; z >>= 1; y -= z;
-  x += z; x >>= 1; z -= x;
-  w += y; w >>= 1; y -= w;
-  w += y >> 1; y -= w >> 1;
+  x = wadd(x, w); x >>= 1; w = wsub(w, x);
+  z = wadd(z, y); z >>= 1; y = wsub(y, z);
+  x = wadd(x, z); x >>= 1; z = wsub(z, x);
+  w = wadd(w, y); w >>= 1; y = wsub(y, w);
+  w = wadd(w, y >> 1); y = wsub(y, w >> 1);
   p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
-/// Exact inverse of fwd_lift.
 void inv_lift(std::int32_t* p, std::size_t s) {
   std::int32_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
+  y = wadd(y, w >> 1); w = wsub(w, y >> 1);
+  y = wadd(y, w); w = wshl1(w); w = wsub(w, y);
+  z = wadd(z, x); x = wshl1(x); x = wsub(x, z);
+  y = wadd(y, z); z = wshl1(z); z = wsub(z, y);
+  w = wadd(w, x); x = wshl1(x); x = wsub(x, w);
   p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
 }
+
+namespace {
 
 /// Two's complement <-> negabinary (sign folded into alternating weights,
 /// so magnitude ordering survives bit-plane truncation).

@@ -51,4 +51,12 @@ struct ZfpDecompressed {
 /// Decompress a zfp_compress archive.
 [[nodiscard]] ZfpDecompressed zfp_decompress(std::span<const std::uint8_t> archive);
 
+/// ZFP's forward lifting transform on one stride-s 4-vector (the
+/// non-orthogonal integer approximation of the DCT), and its exact inverse.
+/// Both compute through two's-complement wraparound, so any int32 input —
+/// including coefficients decoded from a corrupt stream — is defined
+/// behaviour; on valid blocks the bits are ZFP's.
+void fwd_lift(std::int32_t* p, std::size_t s);
+void inv_lift(std::int32_t* p, std::size_t s);
+
 }  // namespace szp::zfp

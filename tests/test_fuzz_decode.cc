@@ -203,6 +203,30 @@ TEST(FuzzDecode, OutOfRangeOutlierIndexIsNamed) {
   expect_rejected(archive, DecodeErrorKind::kCorruptStream, "outliers");
 }
 
+TEST(FuzzDecode, UnsortedOrDuplicateOutlierIndicesAreNamed) {
+  // The Lorenzo reconstruct kernel finds each row's outliers by a forward
+  // search, so the decoder requires strictly increasing indices.  The spike
+  // yields at least two outliers (the spike and the step back down).
+  std::size_t outliers = 0;
+  const auto clean = spiked_archive(&outliers);
+  ASSERT_GE(outliers, 2u);
+  std::uint64_t a = 0, b = 0;
+  std::memcpy(&a, clean.data() + kFirstOutlierOffset, 8);
+  std::memcpy(&b, clean.data() + kFirstOutlierOffset + 8, 8);
+  ASSERT_LT(a, b);
+
+  auto swapped = clean;  // b, a
+  splice_u64(swapped, kFirstOutlierOffset, b);
+  splice_u64(swapped, kFirstOutlierOffset + 8, a);
+  restamp_crc(swapped);
+  expect_rejected(swapped, DecodeErrorKind::kCorruptStream, "outliers");
+
+  auto duplicate = clean;  // a, a
+  splice_u64(duplicate, kFirstOutlierOffset + 8, a);
+  restamp_crc(duplicate);
+  expect_rejected(duplicate, DecodeErrorKind::kCorruptStream, "outliers");
+}
+
 TEST(FuzzDecode, ChecksumMismatchIsNamed) {
   auto archive = spiked_archive();
   archive[kHeaderBytes + 1] ^= 0x01;  // any body flip without re-stamping

@@ -36,14 +36,8 @@ std::vector<float> roundtrip_fine(std::span<const float> data, const Extents& ex
   auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kResidual);
   auto sparse = sim::dense_to_sparse<qdiff_t>(
       std::span<const qdiff_t>(res.outlier_dense.data(), res.outlier_dense.size()));
-
-  std::vector<qdiff_t> qprime(ext.count());
-  fuse_quant_codes(std::span<const quant_t>(res.quant.data(), res.quant.size()),
-                   qcfg.radius(), qprime);
-  sim::scatter_add(sparse, std::span<qdiff_t>(qprime));
-
   std::vector<float> out(ext.count());
-  lorenzo_reconstruct_fused(qprime, ext, eb, out, rcfg);
+  lorenzo_reconstruct(res.quant, sparse, qcfg.radius(), ext, eb, out, rcfg);
   return out;
 }
 
@@ -120,20 +114,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Reconstruction variants (Table II ablation) -------------------------
 
+// The third parameter is the spacing of forced spikes (every k-th element),
+// from an outlier at every element (k = 1) to sparse ones (k = 16).  Both
+// partial-sum variants run one host body, so they must agree bit for bit
+// with each other and with the default whatever the outlier density.
 class ReconstructVariants
     : public ::testing::TestWithParam<std::tuple<int, ReconstructVariant, std::size_t>> {};
 
 TEST_P(ReconstructVariants, AllVariantsProduceIdenticalOutput) {
-  const auto [rank, variant, seq] = GetParam();
+  const auto [rank, variant, spike_every] = GetParam();
   if (variant == ReconstructVariant::kCoarseChunkSerial) GTEST_SKIP();
   const Extents ext = extents_for(rank, true);
-  const auto data = random_field(ext, 99);
+  auto data = random_field(ext, 99);
+  for (std::size_t i = 0; i < data.size(); i += spike_every) data[i] += (i % 2 != 0) ? 4.f : -4.f;
   const double eb = 1e-3;
 
   const auto reference = roundtrip_fine(data, ext, eb, QuantConfig{}, ReconstructConfig{});
-  ReconstructConfig rcfg{variant, seq};
-  const auto out = roundtrip_fine(data, ext, eb, QuantConfig{}, rcfg);
+  const auto out = roundtrip_fine(data, ext, eb, QuantConfig{}, ReconstructConfig{variant});
   EXPECT_EQ(out, reference);
+  EXPECT_LE(max_error(data, out), eb + kFloatRounding);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -150,10 +149,17 @@ TEST(Lorenzo, PartialSumEqualsSerialReconstruction2D) {
   // 4x4 single chunk; quant residuals chosen by hand.  The paper's theorem:
   // d[y,x] = sum_{j<=y} sum_{i<=x} q'[j,i].
   const Extents ext = Extents::d2(4, 4);
-  std::vector<qdiff_t> qprime{1, 0, 2, -1, 0, 3, 0, 0, -2, 0, 1, 0, 0, 0, 0, 4};
-  const auto q0 = qprime;  // keep a copy
+  const std::vector<qdiff_t> q0{1, 0, 2, -1, 0, 3, 0, 0, -2, 0, 1, 0, 0, 0, 0, 4};
+  // Codes carry the residuals; the 4 at (3,3) travels as an outlier.
+  const std::int32_t r = QuantConfig{}.radius();
+  std::vector<quant_t> codes(16);
+  for (std::size_t i = 0; i < 16; ++i) codes[i] = static_cast<quant_t>(q0[i] + r);
+  codes[15] = static_cast<quant_t>(r);
+  sim::SparseVector<qdiff_t> outliers;
+  outliers.indices = {15};
+  outliers.values = {4};
   std::vector<float> out(16);
-  lorenzo_reconstruct_fused(qprime, ext, 0.5, out, {});  // 2eb = 1 => out == sums
+  lorenzo_reconstruct(codes, outliers, r, ext, 0.5, out);  // 2eb = 1 => out == sums
 
   for (std::size_t y = 0; y < 4; ++y) {
     for (std::size_t x = 0; x < 4; ++x) {
@@ -431,6 +437,148 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{257}, std::size_t{300},
                                          std::size_t{513})));
 
+// ---- Exact-bytes oracle: the reconstruct kernel against a scalar reference --
+
+/// Scalar reference of the decode the fused kernel replaces: q' = quant -
+/// radius, scatter-add the outliers, then per-chunk inclusive sums along x,
+/// y and z in int64, scaled by 2eb.  The sums are reduced mod 2^32 before
+/// the scale, as the kernel's wrapping int32 arithmetic does.
+template <typename T>
+std::vector<T> reference_reconstruct(const std::vector<quant_t>& quant,
+                                     const sim::SparseVector<qdiff_t>& outliers,
+                                     std::int32_t radius, const Extents& ext, double eb) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const std::size_t n = ext.count(), nx = ext.nx, nxy = ext.nx * ext.ny;
+  std::vector<std::int64_t> q(n);
+  for (std::size_t i = 0; i < n; ++i) q[i] = static_cast<std::int64_t>(quant[i]) - radius;
+  for (std::size_t k = 0; k < outliers.nnz(); ++k) q[outliers.indices[k]] += outliers.values[k];
+  // Raster order: the predecessor along each axis is already summed.
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((i % nx) % cs.cx != 0) q[i] += q[i - 1];
+  }
+  for (std::size_t i = 0; ext.rank >= 2 && i < n; ++i) {
+    if ((i / nx % ext.ny) % cs.cy != 0) q[i] += q[i - nx];
+  }
+  for (std::size_t i = 0; ext.rank >= 3 && i < n; ++i) {
+    if ((i / nxy) % cs.cz != 0) q[i] += q[i - nxy];
+  }
+  std::vector<T> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto wrapped = static_cast<std::int32_t>(static_cast<std::uint32_t>(q[i]));
+    out[i] = static_cast<T>(static_cast<double>(wrapped) * 2.0 * eb);
+  }
+  return out;
+}
+
+/// Outlier positions that meet every boundary the kernel cares about: the
+/// first and last element of each chunk and of each 256-wide host block,
+/// the first and last element of the field, plus ~1% elsewhere.  Values are
+/// large residual-space corrections of both signs.
+sim::SparseVector<qdiff_t> boundary_outliers(const Extents& ext, std::mt19937& rng) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const auto first = [](std::size_t c, std::size_t unit) { return c % unit == 0; };
+  const auto last = [](std::size_t c, std::size_t unit, std::size_t len) {
+    return c % unit == unit - 1 || c == len - 1;
+  };
+  std::uniform_int_distribution<qdiff_t> value(-100000, 100000);
+  sim::SparseVector<qdiff_t> sparse;
+  const std::size_t n = ext.count();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t x = i % ext.nx, y = i / ext.nx % ext.ny, z = i / (ext.nx * ext.ny);
+    const bool yz_first = first(y, cs.cy) && first(z, cs.cz);
+    const bool yz_last = last(y, cs.cy, ext.ny) && last(z, cs.cz, ext.nz);
+    const bool chunk_edge = (yz_first && first(x, cs.cx)) || (yz_last && last(x, cs.cx, ext.nx));
+    const bool block_edge = (yz_first && first(x, 256)) || (yz_last && last(x, 256, ext.nx));
+    if (chunk_edge || block_edge || i == 0 || i == n - 1 || rng() % 100 == 0) {
+      sparse.indices.push_back(i);
+      sparse.values.push_back(value(rng) | 1);  // nonzero
+    }
+  }
+  return sparse;
+}
+
+template <typename T>
+void expect_reconstruct_matches_reference(const std::vector<quant_t>& quant,
+                                          const sim::SparseVector<qdiff_t>& outliers,
+                                          std::int32_t radius, const Extents& ext, double eb) {
+  const auto ref = reference_reconstruct<T>(quant, outliers, radius, ext, eb);
+  for (const auto variant :
+       {ReconstructVariant::kOptimizedPartialSum, ReconstructVariant::kNaivePartialSum}) {
+    std::vector<T> out(ext.count());
+    lorenzo_reconstruct(quant, outliers, radius, ext, eb, out, {variant});
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (out[i] != ref[i] && ++mismatches <= 5) {
+        ADD_FAILURE() << "i=" << i << ": " << out[i] << " vs " << ref[i] << " (variant "
+                      << static_cast<int>(variant) << ")";
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "rank=" << ext.rank << " nx=" << ext.nx << " ny=" << ext.ny
+                              << " nz=" << ext.nz << " nnz=" << outliers.nnz();
+  }
+}
+
+class LorenzoReconstructOracle
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(LorenzoReconstructOracle, MatchesScalarReferenceBits) {
+  const auto [rank, nx] = GetParam();
+  // ny / nz are not multiples of the 16 (2-D) or 8 (3-D) chunk.
+  const Extents ext = rank == 1   ? Extents::d1(nx)
+                      : rank == 2 ? Extents::d2(19, nx)
+                                  : Extents::d3(9, 11, nx);
+  std::mt19937 rng(static_cast<std::uint32_t>(rank * 7919 + nx));
+  const std::int32_t radius = QuantConfig{}.radius();
+  std::uniform_int_distribution<std::int32_t> resid(-40, 40);
+  std::vector<quant_t> quant(ext.count());
+  for (auto& q : quant) q = static_cast<quant_t>(radius + resid(rng));
+  const auto outliers = boundary_outliers(ext, rng);
+  for (const auto i : outliers.indices) quant[i] = static_cast<quant_t>(radius);
+  expect_reconstruct_matches_reference<float>(quant, outliers, radius, ext, 1e-3);
+  expect_reconstruct_matches_reference<double>(quant, outliers, radius, ext, 1e-3);
+  // No outliers at all: the search never finds a row hit.
+  const sim::SparseVector<qdiff_t> none;
+  expect_reconstruct_matches_reference<float>(quant, none, radius, ext, 0.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankNx, LorenzoReconstructOracle,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                         std::size_t{9}, std::size_t{255}, std::size_t{256},
+                                         std::size_t{257}, std::size_t{300},
+                                         std::size_t{513})));
+
+TEST(LorenzoReconstruct, SumsWrapLikeInt32OnCorruptInput) {
+  // Extreme codes and INT32 outliers push every partial sum past int32:
+  // the kernel must wrap (no signed overflow) and still match the mod-2^32
+  // reference bit for bit.
+  const Extents ext = Extents::d3(9, 11, 300);
+  std::vector<quant_t> quant(ext.count(), 65535);
+  sim::SparseVector<qdiff_t> outliers;
+  for (std::size_t i = 0; i < ext.count(); i += 5) {
+    outliers.indices.push_back(i);
+    outliers.values.push_back(i % 2 != 0 ? std::numeric_limits<qdiff_t>::max()
+                                         : std::numeric_limits<qdiff_t>::min());
+  }
+  expect_reconstruct_matches_reference<float>(quant, outliers, 0, ext, 0.5);
+  expect_reconstruct_matches_reference<double>(quant, outliers, 1, ext, 0.5);
+}
+
+TEST(LorenzoReconstruct, UnorderedOutliersStayInsideTheOutput) {
+  // The decoder rejects unsorted indices before the kernel runs; called
+  // directly with them, the kernel may drop outliers but must not touch
+  // memory outside `out` (an ASan build checks that).
+  const Extents ext = Extents::d2(20, 300);
+  std::vector<quant_t> quant(ext.count(), 512);
+  sim::SparseVector<qdiff_t> outliers;
+  outliers.indices = {5999, 4000, 4000, 17, 6000, 1u << 30, 3};
+  outliers.values = {1, 2, 3, 4, 5, 6, 7};
+  std::vector<float> out(ext.count(), std::numeric_limits<float>::quiet_NaN());
+  lorenzo_reconstruct(quant, outliers, 512, ext, 0.5, out);
+  for (const float v : out) ASSERT_TRUE(std::isfinite(v));
+}
+
 TEST(Lorenzo, InvalidArgumentsThrow) {
   const Extents ext = Extents::d1(100);
   std::vector<float> data(50);
@@ -440,9 +588,19 @@ TEST(Lorenzo, InvalidArgumentsThrow) {
   EXPECT_THROW((void)lorenzo_construct(ok, ext, -1.0, QuantConfig{}), std::invalid_argument);
   EXPECT_THROW((void)lorenzo_construct(ok, ext, 1e-3, QuantConfig{7}), std::invalid_argument);
 
-  std::vector<qdiff_t> q(100);
+  std::vector<quant_t> q(100);
   std::vector<float> out(99);
-  EXPECT_THROW((void)lorenzo_reconstruct_fused(q, ext, 1e-3, out, {}), std::invalid_argument);
+  const sim::SparseVector<qdiff_t> none;
+  EXPECT_THROW((void)lorenzo_reconstruct(q, none, 512, ext, 1e-3, out), std::invalid_argument);
+  std::vector<float> out100(100);
+  sim::SparseVector<qdiff_t> ragged;
+  ragged.indices = {1, 2};
+  ragged.values = {5};
+  EXPECT_THROW((void)lorenzo_reconstruct(q, ragged, 512, ext, 1e-3, out100),
+               std::invalid_argument);
+  EXPECT_THROW((void)lorenzo_reconstruct(q, none, 512, ext, 1e-3, out100,
+                                         {ReconstructVariant::kCoarseChunkSerial}),
+               std::invalid_argument);
 
   // The kernel itself enforces |d|/2eb < 2^27 (exact int32 prequant), so
   // direct callers cannot get silently narrowed outliers.  The bad element

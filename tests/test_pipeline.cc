@@ -10,6 +10,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/archive.hh"
@@ -231,6 +232,60 @@ TEST(WorkspacePool, CopiedCompressorStartsCold) {
   const Compressor b(a);  // copies config only
   EXPECT_EQ(b.workspace_stats().created, 0u);
   EXPECT_EQ(b.config().eb.value, a.config().eb.value);
+}
+
+TEST(WorkspacePool, RepeatedDecompressDoesNotGrowTheDefaultPool) {
+  // Static decompress leases its quant-code scratch from the process-wide
+  // pool: once warm, decoding the same archive again grows nothing.
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  const Extents ext = Extents::d2(64, 50);
+  const auto data = wave_f32(ext.count());
+  const auto archive = Compressor(cfg).compress(data, ext).bytes;
+
+  const auto first = Compressor::decompress(archive);
+  const auto warm = default_workspace_pool().stats();
+  const auto second = Compressor::decompress(archive);
+  const auto steady = default_workspace_pool().stats();
+  EXPECT_EQ(steady.grow_events, warm.grow_events) << "second decode grew a pooled buffer";
+  EXPECT_EQ(steady.created, warm.created);
+  EXPECT_EQ(steady.leases, warm.leases + 1);
+  EXPECT_EQ(second.data, first.data);
+}
+
+TEST(WorkspacePool, ConcurrentDecodesGetDistinctWorkspaces) {
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  const Extents ext = Extents::d1(5000);
+  const auto data = wave_f32(ext.count());
+  const auto archive = Compressor(cfg).compress(data, ext).bytes;
+  const auto reference = Compressor::decompress(archive);
+
+  // A decode that runs while another caller holds a pooled workspace gets
+  // a different one and leaves the held one alone.
+  {
+    auto held = default_workspace_pool().acquire();
+    held->decode_quant.assign(7, quant_t{42});
+    const auto d = Compressor::decompress(archive);
+    EXPECT_EQ(d.data, reference.data);
+    EXPECT_EQ(held->decode_quant, decltype(held->decode_quant)(7, quant_t{42}));
+  }
+
+  // Two threads decoding at once: each result is the serial one.
+  std::vector<char> same(2, 0);  // not vector<bool>: one byte per thread
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      bool ok = true;
+      for (int i = 0; i < 20; ++i) {
+        ok = ok && Compressor::decompress(archive).data == reference.data;
+      }
+      same[t] = ok ? 1 : 0;
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(same[0], 1);
+  EXPECT_EQ(same[1], 1);
 }
 
 // --- Parallel slab streaming ------------------------------------------------

@@ -202,6 +202,34 @@ TEST(TrafficKernels, Lorenzo3DMultiBlock) {
   EXPECT_NEAR(row.coalescing(), 0.8681, 0.001);
 }
 
+TEST(TrafficKernels, LorenzoReconstructFusesOutliers) {
+  // The fused decode reads 2 B of quant-code per element plus 12 B per
+  // outlier (u64 index + i32 value) and writes each output element once:
+  // 4 B (float) or 8 B (double).  No q' intermediate is read or written.
+  const Extents ext = Extents::d3(8, 8, 600);
+  const std::size_t n = ext.count();
+  std::vector<quant_t> quant(n, static_cast<quant_t>(QuantConfig{}.radius()));
+  sim::SparseVector<qdiff_t> outliers;
+  for (std::size_t i = 0; i < n; i += 101) {
+    outliers.indices.push_back(i);
+    outliers.values.push_back(1000);
+  }
+  const std::uint64_t nnz = outliers.nnz();
+  const auto frow = kernel_row("lorenzo_reconstruct", [&] {
+    std::vector<float> out(n);
+    (void)lorenzo_reconstruct(quant, outliers, QuantConfig{}.radius(), ext, 0.01, out);
+  });
+  EXPECT_EQ(frow.bytes_read, 2u * n + 12u * nnz);
+  EXPECT_EQ(frow.bytes_written, 4u * n);
+  EXPECT_TRUE(frow.dynamic);  // the outlier reads are nnz-bounded dyn clauses
+  const auto drow = kernel_row("lorenzo_reconstruct", [&] {
+    std::vector<double> out(n);
+    (void)lorenzo_reconstruct(quant, outliers, QuantConfig{}.radius(), ext, 0.01, out);
+  });
+  EXPECT_EQ(drow.bytes_read, 2u * n + 12u * nnz);
+  EXPECT_EQ(drow.bytes_written, 8u * n);
+}
+
 TEST(TrafficKernels, RegressionConstruct) {
   const auto data = ramp(256);
   RegressionResult res;

@@ -3,7 +3,10 @@
 // the fixed-rate-mode limitation itself.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -144,6 +147,98 @@ TEST(Zfp, RejectsBadInput) {
   auto c = zfp_compress(data, Extents::d1(16), rate(8.0));
   c.bytes.resize(c.bytes.size() - 4);
   EXPECT_THROW((void)zfp_decompress(c.bytes), std::runtime_error);
+}
+
+// ---- Lifting transform at the int32 limits --------------------------------
+
+/// The lifts spelled out in int64 with an explicit reduction mod 2^32 after
+/// every step: the two's-complement semantics the transforms promise.
+std::int32_t wrap32(std::int64_t v) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
+}
+
+std::array<std::int32_t, 4> reference_inv_lift(std::array<std::int32_t, 4> v) {
+  std::int64_t x = v[0], y = v[1], z = v[2], w = v[3];
+  y = wrap32(y + (w >> 1)); w = wrap32(w - (y >> 1));
+  y = wrap32(y + w); w = wrap32(w * 2); w = wrap32(w - y);
+  z = wrap32(z + x); x = wrap32(x * 2); x = wrap32(x - z);
+  y = wrap32(y + z); z = wrap32(z * 2); z = wrap32(z - y);
+  w = wrap32(w + x); x = wrap32(x * 2); x = wrap32(x - w);
+  return {wrap32(x), wrap32(y), wrap32(z), wrap32(w)};
+}
+
+std::array<std::int32_t, 4> reference_fwd_lift(std::array<std::int32_t, 4> v) {
+  std::int64_t x = v[0], y = v[1], z = v[2], w = v[3];
+  x = wrap32(x + w); x >>= 1; w = wrap32(w - x);
+  z = wrap32(z + y); z >>= 1; y = wrap32(y - z);
+  x = wrap32(x + z); x >>= 1; z = wrap32(z - x);
+  w = wrap32(w + y); w >>= 1; y = wrap32(y - w);
+  w = wrap32(w + (y >> 1)); y = wrap32(y - (w >> 1));
+  return {wrap32(x), wrap32(y), wrap32(z), wrap32(w)};
+}
+
+TEST(ZfpLift, ExtremeCoefficientsWrapInsteadOfOverflowing) {
+  // Coefficients a corrupt stream can decode to: every combination of
+  // INT32_MIN / INT32_MAX / -1 / 0 / 1 in the four lanes, through both lifts
+  // at a non-unit stride.  An UBSan build flags any signed overflow here.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::array<std::int32_t, 5> picks{kMin, kMax, -1, 0, 1};
+  std::size_t cases = 0;
+  for (const auto a : picks)
+    for (const auto b : picks)
+      for (const auto c : picks)
+        for (const auto d : picks) {
+          const std::array<std::int32_t, 4> in{a, b, c, d};
+          std::array<std::int32_t, 8> strided{a, 7, b, 7, c, 7, d, 7};
+          zfp::inv_lift(strided.data(), 2);
+          EXPECT_EQ((std::array<std::int32_t, 4>{strided[0], strided[2], strided[4], strided[6]}),
+                    reference_inv_lift(in));
+          EXPECT_EQ(strided[1], 7);  // off-stride lanes untouched
+          std::array<std::int32_t, 4> fwd = in;
+          zfp::fwd_lift(fwd.data(), 1);
+          EXPECT_EQ(fwd, reference_fwd_lift(in));
+          ++cases;
+        }
+  EXPECT_EQ(cases, 625u);
+}
+
+/// The former plain-int32 lifts, valid only where nothing overflows.
+std::array<std::int32_t, 4> plain_inv_lift(std::array<std::int32_t, 4> v) {
+  std::int32_t x = v[0], y = v[1], z = v[2], w = v[3];
+  y += w >> 1; w -= y >> 1;
+  y += w; w <<= 1; w -= y;
+  z += x; x <<= 1; x -= z;
+  y += z; z <<= 1; z -= y;
+  w += x; x <<= 1; x -= w;
+  return {x, y, z, w};
+}
+
+std::array<std::int32_t, 4> plain_fwd_lift(std::array<std::int32_t, 4> v) {
+  std::int32_t x = v[0], y = v[1], z = v[2], w = v[3];
+  x += w; x >>= 1; w -= x;
+  z += y; z >>= 1; y -= z;
+  x += z; x >>= 1; z -= x;
+  w += y; w >>= 1; y -= w;
+  w += y >> 1; y -= w >> 1;
+  return {x, y, z, w};
+}
+
+TEST(ZfpLift, InRangeCoefficientsKeepTheirBits) {
+  // Blocks a valid encoder produces never wrap; there the wrapping lifts
+  // give exactly the plain int32 arithmetic's bits.  |coeff| < 2^26 keeps
+  // every intermediate of the plain version inside int32.
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<std::int32_t> coeff(-(1 << 26), 1 << 26);
+  for (int i = 0; i < 10000; ++i) {
+    const std::array<std::int32_t, 4> in{coeff(rng), coeff(rng), coeff(rng), coeff(rng)};
+    auto inv = in;
+    zfp::inv_lift(inv.data(), 1);
+    ASSERT_EQ(inv, plain_inv_lift(in));
+    auto fwd = in;
+    zfp::fwd_lift(fwd.data(), 1);
+    ASSERT_EQ(fwd, plain_fwd_lift(in));
+  }
 }
 
 }  // namespace

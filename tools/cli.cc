@@ -529,12 +529,15 @@ void analyze_suite() {
   for (std::size_t i = 0; i < field.size(); ++i) {
     field[i] = std::sin(0.05f * static_cast<float>(i));
   }
+  // Spikes force a few outliers, so the fused reconstruct's outlier reads
+  // are exercised too.
+  for (std::size_t i = 0; i < field.size(); i += 97) field[i] += 50.0f;
   const auto lc = lorenzo_construct<float>(field, e3, eb, qcfg);
-  std::vector<qdiff_t> qprime(e3.count());
-  fuse_quant_codes({lc.quant.data(), lc.quant.size()}, qcfg.radius(),
-                   std::span<qdiff_t>(qprime));
+  const auto lsparse = sim::dense_to_sparse(
+      std::span<const qdiff_t>(lc.outlier_dense.data(), lc.outlier_dense.size()));
   std::vector<float> rec(e3.count());
-  lorenzo_reconstruct_fused<float>(std::span<qdiff_t>(qprime), e3, eb, std::span<float>(rec));
+  lorenzo_reconstruct<float>({lc.quant.data(), lc.quant.size()}, lsparse, qcfg.radius(), e3, eb,
+                             std::span<float>(rec));
   const auto lv =
       lorenzo_construct<float>(field, e3, eb, qcfg, OutlierScheme::kValue,
                                ConstructVariant::kBaseline);
