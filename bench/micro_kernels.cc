@@ -97,8 +97,7 @@ void BM_LorenzoReconstruct(benchmark::State& state) {
   const Extents ext = extents_of<Rank>(static_cast<std::size_t>(state.range(0)));
   const auto data = bench_field(ext.count());
   const auto lorenzo = lorenzo_construct(data, ext, 1e-3, QuantConfig{});
-  const auto outliers = sim::dense_to_sparse(std::span<const qdiff_t>(
-      lorenzo.outlier_dense.data(), lorenzo.outlier_dense.size()));
+  const auto outliers = lorenzo_outliers(lorenzo);
   std::vector<float> out(ext.count());
   for (auto _ : state) {
     lorenzo_reconstruct(lorenzo.quant, outliers, QuantConfig{}.radius(), ext, 1e-3, out);

@@ -182,10 +182,10 @@ class RleCodec final : public LosslessCodec {
   [[nodiscard]] Workflow id() const override { return Workflow::kRle; }
   [[nodiscard]] const char* name() const override { return "rle"; }
 
-  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace&,
+  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               ByteWriter& w, sim::PipelineReport& report) const override {
     sim::Timer t;
-    const auto rle = rle_encode(quant);
+    const auto rle = rle_encode(quant, ws.rle_runs);
     report.add({"rle_encode", ctx.original_bytes, t.seconds(), rle.cost});
     w.put<std::uint64_t>(rle.num_symbols);
     w.put_vector(rle.values);
@@ -234,7 +234,7 @@ class RleVleCodec final : public LosslessCodec {
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               ByteWriter& w, sim::PipelineReport& report) const override {
     sim::Timer t;
-    const auto rle = rle_encode(quant);
+    const auto rle = rle_encode(quant, ws.rle_runs);
     report.add({"rle_encode", ctx.original_bytes, t.seconds(), rle.cost});
     t.reset();
     // VLE over both run streams (values and lengths), each with its own

@@ -9,7 +9,6 @@
 #include "core/pipeline/registry.hh"
 #include "core/serialize.hh"
 #include "sim/histogram.hh"
-#include "sim/sparse.hh"
 #include "sim/timer.hh"
 
 namespace szp {
@@ -64,28 +63,14 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
 
   const auto& registry = pipeline::StageRegistry::instance();
 
-  // --- Prediction + quantization -----------------------------------------
-  sim::Timer t;
+  // --- Prediction + quantization, outlier gather ----------------------------
   const pipeline::PredictStage& predictor = registry.predict(cfg_.predictor);
-  const pipeline::PredictProduct prod = predictor.construct(data, ext, eb_kernel, cfg_, ws);
-  st.pipeline.add({predictor.construct_stage(), st.original_bytes, t.seconds(), prod.cost});
-
-  // --- Gather outliers (dense -> sparse) --------------------------------
-  t.reset();
-  sim::KernelCost gather_c;
-  {
-    sim::traffic::Scope gather_scope;  // contract-derived volumes
-    sim::dense_to_sparse_into(prod.outlier_dense, ws.outliers, ws.gather_tile_nnz,
-                              ws.gather_offsets);
-    gather_c = sim::gather_cost(data.size(), sizeof(qdiff_t), ws.outliers.nnz(),
-                                sizeof(std::uint64_t));
-    gather_scope.apply(gather_c);
-  }
-  st.outlier_count = ws.outliers.nnz();
-  st.pipeline.add({"gather_outlier", st.original_bytes, t.seconds(), gather_c});
+  const pipeline::PredictProduct prod =
+      predictor.construct(data, ext, eb_kernel, cfg_, ws, st.pipeline);
+  st.outlier_count = prod.outliers.nnz();
 
   // --- Histogram ---------------------------------------------------------
-  t.reset();
+  sim::Timer t;
   sim::KernelCost hist_c;
   {
     sim::traffic::Scope hist_scope;  // contract-derived volumes
@@ -112,8 +97,8 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
   predictor.write_aux(w, ws);
 
   // --- Outlier section ----------------------------------------------------
-  w.put_vector(ws.outliers.indices);
-  w.put_vector(ws.outliers.values);
+  w.put_vector(prod.outliers.indices);
+  w.put_vector(prod.outliers.values);
 
   // --- Quant-code payload --------------------------------------------------
   const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes, version};
@@ -204,7 +189,7 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
     // Every outlier index addresses one output element, and the Lorenzo
     // reconstruct finds each row's outliers by a forward search: require
     // strictly increasing indices below the element count, the order
-    // dense_to_sparse emits.
+    // the compressor's outlier gather emits.
     for (std::size_t k = 0; k < outliers.indices.size(); ++k) {
       const auto idx = outliers.indices[k];
       if (idx >= n) {

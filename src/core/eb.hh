@@ -7,9 +7,14 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace szp {
@@ -47,6 +52,9 @@ struct ErrorBound {
 
 /// Min/max of a field (used both to resolve relative bounds and for PSNR).
 /// Also tracks finiteness: NaN/Inf would silently defeat min/max scans.
+/// NaN never enters min/max (it only clears `finite`), so the result does
+/// not depend on how a field is split into runs: the in-memory scan and the
+/// streamed, block-wise scan (streaming.cc) agree on every input.
 struct ValueRange {
   double min = 0.0;
   double max = 0.0;
@@ -55,23 +63,79 @@ struct ValueRange {
   [[nodiscard]] double span() const { return max - min; }
   [[nodiscard]] double max_abs() const { return std::max(std::abs(min), std::abs(max)); }
 
+  /// Fold another run's range into this one.
+  void merge(const ValueRange& o) {
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    finite = finite && o.finite;
+  }
+
+  /// Range of one contiguous run of n >= 1 elements.  Lane form: kLanes
+  /// independent min/max/non-finite accumulators, so no iteration waits on
+  /// the previous one and the loop vectorizes.  Finiteness is an exponent
+  /// test on the bit pattern; the compares ignore NaN.  An all-NaN run
+  /// reports min = +inf, max = -inf with finite == false.
+  template <typename T>
+  static ValueRange of_run(const T* p, std::size_t n) {
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+    // Exponent field: all ones exactly for ±inf and NaN.
+    constexpr Bits kExp = std::bit_cast<Bits>(std::numeric_limits<T>::infinity());
+    constexpr std::size_t kLanes = 16;
+    T lo[kLanes], hi[kLanes];
+    Bits bad[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lo[l] = std::numeric_limits<T>::infinity();
+      hi[l] = -std::numeric_limits<T>::infinity();
+      bad[l] = 0;
+    }
+    std::size_t i = 0;
+    // One lane loop per accumulator family: in this form GCC vectorizes the
+    // lane-wise selects (one combined loop it leaves scalar).
+    for (; i + kLanes <= n; i += kLanes) {
+      const T* q = p + i;
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kLanes; ++l) lo[l] = q[l] < lo[l] ? q[l] : lo[l];
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kLanes; ++l) hi[l] = q[l] > hi[l] ? q[l] : hi[l];
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        bad[l] |= static_cast<Bits>((std::bit_cast<Bits>(q[l]) & kExp) == kExp);
+      }
+    }
+    for (std::size_t l = 0; l < n - i; ++l) {  // tail: fewer than kLanes
+      const T v = p[i + l];
+      lo[l] = v < lo[l] ? v : lo[l];
+      hi[l] = v > hi[l] ? v : hi[l];
+      bad[l] |= static_cast<Bits>((std::bit_cast<Bits>(v) & kExp) == kExp);
+    }
+    ValueRange r{static_cast<double>(lo[0]), static_cast<double>(hi[0]), bad[0] == 0};
+    for (std::size_t l = 1; l < kLanes; ++l) {
+      r.merge({static_cast<double>(lo[l]), static_cast<double>(hi[l]), bad[l] == 0});
+    }
+    return r;
+  }
+
+  /// Block size of the parallel scans: ValueRange::of and the streamed
+  /// range pass both merge of_run over runs of this many elements.
+  static constexpr std::size_t kRunElems = std::size_t{1} << 16;
+
   template <typename T>
   static ValueRange of(std::span<const T> data) {
-    ValueRange r;
-    if (data.empty()) return r;
-    T lo = data[0], hi = data[0];
+    if (data.empty()) return {};
+    const std::size_t n = data.size();
+    const auto runs = static_cast<long long>((n + kRunElems - 1) / kRunElems);
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
     bool fin = true;
 #pragma omp parallel for reduction(min : lo) reduction(max : hi) reduction(&& : fin)
-    for (long long i = 0; i < static_cast<long long>(data.size()); ++i) {
-      const T v = data[static_cast<std::size_t>(i)];
-      fin = fin && std::isfinite(v);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+    for (long long b = 0; b < runs; ++b) {
+      const std::size_t begin = static_cast<std::size_t>(b) * kRunElems;
+      const ValueRange part = of_run(data.data() + begin, std::min(kRunElems, n - begin));
+      lo = std::min(lo, part.min);
+      hi = std::max(hi, part.max);
+      fin = fin && part.finite;
     }
-    r.min = lo;
-    r.max = hi;
-    r.finite = fin;
-    return r;
+    return {lo, hi, fin};
   }
 
   template <typename T, typename Alloc>

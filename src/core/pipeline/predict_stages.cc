@@ -34,20 +34,39 @@ std::vector<qdiff_t> scatter_dense(const sim::SparseVector<qdiff_t>& outliers, s
   return outlier_dense;
 }
 
+/// Dense-to-sparse outlier gather of the regression and interpolation
+/// construct kernels, which keep a dense outlier array (Lorenzo's construct
+/// stages its outliers sparsely and gathers them with
+/// lorenzo_gather_outliers).
+void gather_dense(std::span<const qdiff_t> dense, Workspace& ws, std::size_t payload_bytes,
+                  sim::PipelineReport& report) {
+  sim::Timer t;
+  sim::KernelCost cost;
+  {
+    sim::traffic::Scope scope;  // contract-derived volumes
+    sim::dense_to_sparse_into(dense, ws.outliers, ws.gather_tile_nnz, ws.gather_offsets);
+    cost = sim::gather_cost(dense.size(), sizeof(qdiff_t), ws.outliers.nnz(),
+                            sizeof(std::uint64_t));
+    scope.apply(cost);
+  }
+  report.add({"gather_outlier", payload_bytes, t.seconds(), cost});
+}
+
 class LorenzoStage final : public PredictStage {
  public:
   [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kLorenzo; }
-  [[nodiscard]] const char* construct_stage() const override { return "lorenzo_construct"; }
 
   [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
   [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
 
   void write_aux(ByteWriter&, const Workspace&) const override {}  // no sidecar
@@ -79,30 +98,36 @@ class LorenzoStage final : public PredictStage {
  private:
   template <typename T>
   PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
+                                const CompressConfig& cfg, Workspace& ws,
+                                sim::PipelineReport& report) const {
+    sim::Timer t;
     lorenzo_construct_into(data, ext, eb_kernel, cfg.quant, OutlierScheme::kResidual,
                            cfg.construct_variant, ws.lorenzo);
+    report.add({"lorenzo_construct", data.size_bytes(), t.seconds(), ws.lorenzo.cost});
+    t.reset();
+    const sim::KernelCost gather =
+        lorenzo_gather_outliers(ws.lorenzo.stash, ws.outliers, ws.gather_offsets);
+    report.add({"gather_outlier", data.size_bytes(), t.seconds(), gather});
     return {std::span<const quant_t>(ws.lorenzo.quant.data(), ws.lorenzo.quant.size()),
-            std::span<const qdiff_t>(ws.lorenzo.outlier_dense.data(),
-                                     ws.lorenzo.outlier_dense.size()),
-            ws.lorenzo.cost};
+            ws.outliers};
   }
 };
 
 class RegressionStage final : public PredictStage {
  public:
   [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kRegression; }
-  [[nodiscard]] const char* construct_stage() const override { return "regression_construct"; }
 
   [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
   [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -136,31 +161,34 @@ class RegressionStage final : public PredictStage {
  private:
   template <typename T>
   PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
+                                const CompressConfig& cfg, Workspace& ws,
+                                sim::PipelineReport& report) const {
+    sim::Timer t;
     regression_construct_into(data, ext, eb_kernel, cfg.quant, ws.regression);
+    report.add({"regression_construct", data.size_bytes(), t.seconds(), ws.regression.cost});
+    gather_dense(std::span<const qdiff_t>(ws.regression.outlier_dense.data(),
+                                          ws.regression.outlier_dense.size()),
+                 ws, data.size_bytes(), report);
     return {std::span<const quant_t>(ws.regression.quant.data(), ws.regression.quant.size()),
-            std::span<const qdiff_t>(ws.regression.outlier_dense.data(),
-                                     ws.regression.outlier_dense.size()),
-            ws.regression.cost};
+            ws.outliers};
   }
 };
 
 class InterpolationStage final : public PredictStage {
  public:
   [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kInterpolation; }
-  [[nodiscard]] const char* construct_stage() const override {
-    return "interpolation_construct";
-  }
 
   [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
   [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
                                          double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+                                         Workspace& ws,
+                                         sim::PipelineReport& report) const override {
+    return construct_impl(data, ext, eb_kernel, cfg, ws, report);
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -198,13 +226,17 @@ class InterpolationStage final : public PredictStage {
  private:
   template <typename T>
   PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
+                                const CompressConfig& cfg, Workspace& ws,
+                                sim::PipelineReport& report) const {
+    sim::Timer t;
     interpolation_construct_into(data, ext, eb_kernel, cfg.quant, InterpolationConfig{},
                                  ws.interp);
+    report.add({"interpolation_construct", data.size_bytes(), t.seconds(), ws.interp.cost});
+    gather_dense(std::span<const qdiff_t>(ws.interp.outlier_dense.data(),
+                                          ws.interp.outlier_dense.size()),
+                 ws, data.size_bytes(), report);
     return {std::span<const quant_t>(ws.interp.quant.data(), ws.interp.quant.size()),
-            std::span<const qdiff_t>(ws.interp.outlier_dense.data(),
-                                     ws.interp.outlier_dense.size()),
-            ws.interp.cost};
+            ws.outliers};
   }
 };
 

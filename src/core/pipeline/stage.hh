@@ -47,11 +47,11 @@ struct PredictorAux {
 };
 
 /// What a predictor's construct pass produced: views into the Workspace
-/// buffers the stage filled, plus the analytic kernel cost.
+/// buffers the stage filled — one quant-code per element and the gathered
+/// outliers (ws.outliers, strictly increasing indices).
 struct PredictProduct {
   std::span<const quant_t> quant;
-  std::span<const qdiff_t> outlier_dense;
-  sim::KernelCost cost;
+  const sim::SparseVector<qdiff_t>& outliers;
 };
 
 /// One prediction model: the construct half of compression and the
@@ -61,16 +61,18 @@ class PredictStage {
   virtual ~PredictStage() = default;
 
   [[nodiscard]] virtual PredictorKind kind() const = 0;
-  /// PipelineReport entry name of the construct pass (pinned by tests).
-  [[nodiscard]] virtual const char* construct_stage() const = 0;
 
-  /// Fill ws with quant-codes and the dense outlier array for `data`.
+  /// Fill ws with quant-codes and the sparse outliers for `data`; appends
+  /// the construct pass and the "gather_outlier" pass to `report` (stage
+  /// names pinned by tests).
   [[nodiscard]] virtual PredictProduct construct(std::span<const float> data, const Extents& ext,
                                                  double eb_kernel, const CompressConfig& cfg,
-                                                 Workspace& ws) const = 0;
+                                                 Workspace& ws,
+                                                 sim::PipelineReport& report) const = 0;
   [[nodiscard]] virtual PredictProduct construct(std::span<const double> data, const Extents& ext,
                                                  double eb_kernel, const CompressConfig& cfg,
-                                                 Workspace& ws) const = 0;
+                                                 Workspace& ws,
+                                                 sim::PipelineReport& report) const = 0;
 
   /// Serialize the aux payload construct() left in ws (nothing for Lorenzo).
   virtual void write_aux(ByteWriter& w, const Workspace& ws) const = 0;

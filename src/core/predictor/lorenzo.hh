@@ -25,6 +25,7 @@
 // sum (the paper's §IV-B proof).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -59,15 +60,30 @@ enum class ConstructVariant {
   kOptimized, ///< cuSZ+: register reuse via in-warp shuffle, coarsened threads
 };
 
+/// What the construct kernel leaves for the outlier gather.  Each host block
+/// (a run of whole chunks at most 256 wide, one chunk high and deep) appends
+/// its outliers, in global index order, at the head of its own slice of the
+/// stash and records one count per row segment.  Nothing else of the stash
+/// is written, so only pages that hold outliers become resident.
+struct LorenzoOutlierStash {
+  sim::scratch_vector<std::uint64_t> idx;  ///< global element index
+  sim::scratch_vector<qdiff_t> val;        ///< non-zero outlier value
+  /// Outliers of every row segment, indexed (z*ny + y)*blocks_x + bx —
+  /// global index order.
+  sim::scratch_vector<std::size_t> row_nnz;
+  Extents ext;  ///< field the stash was laid out for
+};
+
 struct LorenzoConstructResult {
-  sim::device_vector<quant_t> quant;          ///< one code per element
-  sim::device_vector<qdiff_t> outlier_dense;  ///< zeros except out-of-range entries
+  sim::device_vector<quant_t> quant;  ///< one code per element
+  LorenzoOutlierStash stash;          ///< input of lorenzo_gather_outliers
   sim::KernelCost cost;
 };
 
 /// Dual-quantized Lorenzo construction: prequant d° = round(d/2eb), predict
-/// within the chunk, emit quant-codes and a dense outlier array (gathered to
-/// sparse by a separate stage, as in the paper's pipeline).
+/// within the chunk, emit quant-codes and stage every non-zero outlier value
+/// (the residual for kResidual, the prequantized value for kValue) for
+/// lorenzo_gather_outliers.  No dense outlier array exists.
 ///
 /// T is float or double (the paper supports both; doubles raise the VLE
 /// compression-ratio ceiling from 32x to 64x).  Requires |d|/(2*eb) < 2^27
@@ -80,13 +96,24 @@ template <typename T>
     ConstructVariant variant = ConstructVariant::kOptimized);
 
 /// Workspace-reuse variant: fills the caller's result struct, resizing its
-/// buffers without zero-filling them (every element is written), so a
-/// reused `res` allocates nothing once its buffers have grown to the field
-/// size (see core/workspace.hh).
+/// buffers without zero-filling them, so a reused `res` allocates nothing
+/// once its buffers have grown to the field size (see core/workspace.hh).
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& quant, OutlierScheme scheme,
                             ConstructVariant variant, LorenzoConstructResult& res);
+
+/// The gather_outlier stage: an exclusive scan of the stash's row counts
+/// into `row_offset`, then a per-block fill that copies each row's staged
+/// entries to `out` — exactly the non-zero outliers in strictly increasing
+/// index order, as a dense-to-sparse gather of the same values would give.
+/// Returns the kernel cost (contract-derived traffic).
+sim::KernelCost lorenzo_gather_outliers(const LorenzoOutlierStash& stash,
+                                        sim::SparseVector<qdiff_t>& out,
+                                        std::vector<std::size_t>& row_offset);
+
+/// Convenience: the gathered outliers of a construct result.
+[[nodiscard]] sim::SparseVector<qdiff_t> lorenzo_outliers(const LorenzoConstructResult& res);
 
 /// Picks the modeled reconstruction kernel (Table II): access pattern and
 /// calibrated bandwidth factor.  Both partial-sum variants run the same host

@@ -2,6 +2,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "core/error.hh"
 #include "core/predictor/lorenzo.hh"
 #include "sim/check.hh"
 #include "sim/launch.hh"
@@ -63,13 +64,14 @@ sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
                                     const sim::SparseVector<qdiff_t>& outliers,
                                     std::int32_t radius, const Extents& ext, double eb_abs,
                                     std::span<T> out, const ReconstructConfig& cfg) {
+  if (cfg.variant == ReconstructVariant::kCoarseChunkSerial) {
+    // A caller choice, not stream damage: decode_guard passes it through.
+    throw ConfigError(
+        "lorenzo_reconstruct: coarse variant needs lorenzo_reconstruct_coarse");
+  }
   if (quant.size() != ext.count() || out.size() != ext.count() ||
       outliers.indices.size() != outliers.values.size()) {
     throw std::invalid_argument("lorenzo_reconstruct: size mismatch");
-  }
-  if (cfg.variant == ReconstructVariant::kCoarseChunkSerial) {
-    throw std::invalid_argument(
-        "lorenzo_reconstruct: coarse variant needs lorenzo_reconstruct_coarse");
   }
   const std::size_t n = ext.count();
   const std::size_t nnz = outliers.nnz();

@@ -12,12 +12,19 @@
 namespace szp {
 
 RleEncoded rle_encode(std::span<const quant_t> symbols) {
+  sim::RunScratch<quant_t, std::uint64_t> scratch;
+  return rle_encode(symbols, scratch);
+}
+
+RleEncoded rle_encode(std::span<const quant_t> symbols,
+                      sim::RunScratch<quant_t, std::uint64_t>& scratch) {
   RleEncoded enc;
   enc.num_symbols = symbols.size();
   if (symbols.empty()) return enc;
 
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for enc.cost
-  auto runs = sim::reduce_by_key<quant_t, std::uint64_t>(symbols);
+  sim::RunsOutput<quant_t, std::uint64_t> runs;
+  sim::reduce_by_key_into(symbols, runs, scratch);
 
   enc.values.reserve(runs.keys.size());
   enc.counts.reserve(runs.keys.size());

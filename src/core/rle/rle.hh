@@ -13,6 +13,7 @@
 
 #include "core/types.hh"
 #include "sim/profile.hh"
+#include "sim/reduce_by_key.hh"
 
 namespace szp {
 
@@ -30,6 +31,11 @@ struct RleEncoded {
 
 /// Collapse the symbol stream into (value, count) runs.
 [[nodiscard]] RleEncoded rle_encode(std::span<const quant_t> symbols);
+
+/// Same, with the reduce_by_key run slices taken from reusable scratch
+/// (Workspace::rle_runs), so repeated encodes allocate no worst-case arrays.
+[[nodiscard]] RleEncoded rle_encode(std::span<const quant_t> symbols,
+                                    sim::RunScratch<quant_t, std::uint64_t>& scratch);
 
 struct RleDecoded {
   std::vector<quant_t> symbols;

@@ -192,14 +192,14 @@ std::span<const std::uint8_t> source_bytes(const io::FieldSource& src, std::size
 }
 
 /// Whole-field min/max as a block-reduce over the launch substrate: each
-/// 64 Ki-element block reads its elements through source_bytes() (a viewless
-/// source costs one block-sized buffer per running block), the per-block
-/// loops are plain scalar code (no nested OpenMP pragma), and the block
-/// partials merge exactly — so the resolved bound is identical to a
-/// single-pass ValueRange::of scan, on every source.
+/// ValueRange::kRunElems block reads its elements through source_bytes() (a
+/// viewless source costs one block-sized buffer per running block) and runs
+/// the same lane-form ValueRange::of_run as the in-memory scan, and the block
+/// partials merge exactly — so the resolved bound is identical to
+/// ValueRange::of, on every source.
 template <typename T>
 ValueRange field_range_blocked(const io::FieldSource& src, std::size_t count) {
-  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  constexpr std::size_t kBlock = ValueRange::kRunElems;
   const std::size_t blocks = sim::div_ceil(count, kBlock);
   std::vector<ValueRange> partial(blocks);
   sim::launch_blocks(blocks, [&](std::size_t b) {
@@ -208,22 +208,10 @@ ValueRange field_range_blocked(const io::FieldSource& src, std::size_t count) {
     std::vector<std::uint8_t> staging;
     const T* p = reinterpret_cast<const T*>(
         source_bytes(src, begin * sizeof(T), n * sizeof(T), staging).data());
-    T lo = p[0];
-    T hi = p[0];
-    bool fin = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      fin = fin && std::isfinite(p[i]);
-      lo = std::min(lo, p[i]);
-      hi = std::max(hi, p[i]);
-    }
-    partial[b] = ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
+    partial[b] = ValueRange::of_run(p, n);
   });
   ValueRange r = partial[0];
-  for (std::size_t b = 1; b < blocks; ++b) {
-    r.min = std::min(r.min, partial[b].min);
-    r.max = std::max(r.max, partial[b].max);
-    r.finite = r.finite && partial[b].finite;
-  }
+  for (std::size_t b = 1; b < blocks; ++b) r.merge(partial[b]);
   return r;
 }
 

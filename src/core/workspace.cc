@@ -4,7 +4,8 @@ namespace szp {
 
 std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() const {
   return {
-      lorenzo.quant.capacity(),     lorenzo.outlier_dense.capacity(),
+      lorenzo.quant.capacity(),     lorenzo.stash.idx.capacity(),
+      lorenzo.stash.val.capacity(), lorenzo.stash.row_nnz.capacity(),
       regression.quant.capacity(),  regression.outlier_dense.capacity(),
       regression.coefficients.capacity(),
       interp.quant.capacity(),      interp.outlier_dense.capacity(),
@@ -16,7 +17,9 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
       vle_freq.capacity(),          rans_slots.capacity(),
       rans_chunk_bytes.capacity(),  book_freq.capacity(),
-      codec_bytes.capacity(),       decode_quant.capacity(),
+      codec_bytes.capacity(),       rle_runs.run_keys.capacity(),
+      rle_runs.run_counts.capacity(), rle_runs.tile_run_count.capacity(),
+      decode_quant.capacity(),
       slab_io.capacity(),
   };
 }

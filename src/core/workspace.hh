@@ -1,9 +1,11 @@
 // szp — reusable per-call scratch for the compression pipeline.
 //
 // Every compress() call needs the same family of O(n) buffers: the
-// predictor's quant-code and dense-outlier arrays, the histogram bins and
-// their block-private replicas, the gathered outlier stream plus its tile
-// scratch, and the Huffman encoder's chunk metadata and payload.  Allocating
+// predictor's quant-code array and outlier staging (Lorenzo's block-sliced
+// stash, the other predictors' dense outlier arrays), the histogram bins and
+// their block-private sub-counter rows, the gathered outlier stream plus its
+// scan scratch, the RLE run slices, and the Huffman encoder's chunk metadata
+// and payload.  Allocating
 // them per call makes repeated-field compression malloc-bound; FZ-GPU makes
 // the same observation for real device buffers (HPDC'23).  A Workspace owns
 // one instance of each buffer and the pipeline stages fill them with
@@ -35,6 +37,7 @@
 #include "core/thread_safety.hh"
 #include "core/types.hh"
 #include "sim/aligned.hh"
+#include "sim/reduce_by_key.hh"
 #include "sim/sparse.hh"
 
 namespace szp {
@@ -48,14 +51,14 @@ struct Workspace {
   RegressionResult regression;
   InterpolationResult interp;
 
-  // --- Outlier gather (dense -> sparse) ------------------------------------
+  // --- Outlier gather ------------------------------------------------------
   sim::SparseVector<qdiff_t> outliers;
-  std::vector<std::size_t> gather_tile_nnz;
-  std::vector<std::size_t> gather_offsets;
+  std::vector<std::size_t> gather_tile_nnz;  ///< dense_to_sparse tile counts
+  std::vector<std::size_t> gather_offsets;   ///< tile / row-segment offsets
 
   // --- Histogram -----------------------------------------------------------
   std::vector<std::uint64_t> freq;       ///< quant-code histogram
-  std::vector<std::uint64_t> hist_priv;  ///< block-private bin replicas
+  std::vector<std::uint32_t> hist_priv;  ///< block-private sub-counter rows
 
   // --- Codec scratch -------------------------------------------------------
   HuffmanEncoded huffman;                     ///< reused encode product
@@ -82,6 +85,9 @@ struct Workspace {
   /// repeated LZ compression allocates no staging buffer.
   std::vector<std::uint8_t> codec_bytes;
 
+  /// reduce_by_key run slices of the RLE codecs (sim/reduce_by_key.hh).
+  sim::RunScratch<quant_t, std::uint64_t> rle_runs;
+
   // --- Decode scratch -------------------------------------------------------
   /// Quant-codes decoded from an archive (Compressor::decompress leases a
   /// workspace from default_workspace_pool()).  The codec writes every
@@ -97,7 +103,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 25;
+  static constexpr std::size_t kTrackedBuffers = 30;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

@@ -32,7 +32,7 @@
 namespace szp::sim::checked {
 
 namespace detail {
-thread_local LaneState t_lane;
+constinit thread_local LaneState t_lane;
 }  // namespace detail
 
 namespace {

@@ -141,7 +141,9 @@ struct LaneState {
   std::uint32_t lane = kBlockLane;
   std::uint32_t epoch = 0;
 };
-extern thread_local LaneState t_lane;
+// constinit: accesses compile to a direct TLS load, with no lazy-init
+// wrapper call that could hand back a null reference.
+extern constinit thread_local LaneState t_lane;
 }  // namespace detail
 
 /// Declare that the code until the next this_thread()/barrier() models the
@@ -873,11 +875,14 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
   // opt-ins keep the shadow: they exist to model intra-block lanes, which
   // per-block footprints say nothing about.
   const contract::Geom geom{static_cast<std::int64_t>(grid_size), grid3.x, grid3.y, grid3.z};
+  // Analyzed after the grid's first run: a counted_by() clause books what
+  // the blocks emitted (schedule replays below would count it again).
   traffic::LaunchTraffic predicted;
-  if (want_traffic) {
+  const auto derive_traffic = [&] {
+    if (!want_traffic) return;
     predicted = traffic::analyze(*con, geom, detail::shapes(registered));
     traffic::record(kernel, predicted);
-  }
+  };
   bool validate = false;
   if (m != Mode::kOff) {
     if (con != nullptr) {
@@ -897,6 +902,7 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
 
   if (m == Mode::kOff) {
     launch_blocks(grid_size, run_raw);
+    derive_traffic();
   } else if (word) {
     // Tier 2: serialize the grid so the shared shadow arrays need no locks
     // and hazard reports are deterministic.
@@ -910,6 +916,7 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
       detail::t_lane.active = false;
     }
     shadow.finish();
+    derive_traffic();
     analyze_launch(kernel, detail::metas(registered), logs);
   } else {
     std::vector<BlockLog> logs(grid_size);
@@ -917,6 +924,7 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
       detail::with_tracked_views(
           registered, &logs[b], nullptr, [&](const auto&... views) { body(b, views...); }, seq);
     });
+    derive_traffic();
     if (validate) {
       detail::validate_observed(kernel, *con, geom, detail::metas(registered), logs);
       detail::validate_traffic(kernel, predicted, detail::metas(registered), logs);

@@ -18,6 +18,13 @@
 //                                                  nx*ny*nz field, clamped at the
 //                                                  field edges (launch_3d grids)
 //   reads_all/writes_all/updates_all(buf)          whole buffer, every block
+//     .counted_by(counter)                         sparse emit inside the window:
+//                                                  the footprint (proved and
+//                                                  checked) is still the window,
+//                                                  but the kernel adds the
+//                                                  elements it really touches
+//                                                  to `counter`, and the traffic
+//                                                  analyzer books that count
 //   reads_dyn/writes_dyn/updates_dyn(buf)          data-dependent footprint: the
 //                                                  declared set is the whole
 //                                                  buffer, and the prover will
@@ -49,6 +56,7 @@
 // by the ordinary test suite.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -143,12 +151,26 @@ struct Clause {
   // the whole buffer stands in as the upper bound.
   std::int64_t dyn_bound = -1;
 
+  // kWindow: when set, the kernel emits a data-dependent subset of each
+  // window (compaction at the head of a per-block slice) and adds the number
+  // of elements it touched to *counted.  The windows stay the declared
+  // footprint; the traffic analyzer books the count instead, reading it once
+  // the grid's first run has finished.
+  const std::atomic<std::uint64_t>* counted = nullptr;
+
   /// Repeat the window `count` times, `stride` elements apart (gap arrays,
   /// per-block column families).
   [[nodiscard]] constexpr Clause strided(std::int64_t n, std::int64_t step) const {
     Clause cl = *this;
     cl.count = n;
     cl.stride = step;
+    return cl;
+  }
+
+  /// Book the traffic of a sparse emit: see `counted`.
+  [[nodiscard]] constexpr Clause counted_by(const std::atomic<std::uint64_t>& c) const {
+    Clause cl = *this;
+    cl.counted = &c;
     return cl;
   }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,78 +24,101 @@
 
 namespace szp::sim {
 
+/// Elements per histogram block.  Coarse, so few private rows exist to zero
+/// and merge; 2^20 also keeps every sub-counter inside uint32.
+inline constexpr std::size_t kHistogramTile = std::size_t{1} << 20;
+
+/// Interleaved sub-counter rows per block: consecutive elements of a lane's
+/// stripe rotate over the rows, so runs of one code (most of a quant-code
+/// stream sits in one bin) bump four independent counters instead of
+/// waiting on the previous increment of the same one.
+inline constexpr std::size_t kHistogramSubRows = 4;
+
 /// Workspace-reuse variant: fills `bins` (and uses `priv` as the private-row
 /// scratch) with capacity-preserving assigns, so repeated calls at the same
 /// size allocate nothing (see core/workspace.hh).
 template <typename T>
 void device_histogram_into(std::span<const T> data, std::size_t num_bins,
                            std::vector<std::uint64_t>& bins,
-                           std::vector<std::uint64_t>& priv,
-                           std::size_t tile = 1 << 16) {
+                           std::vector<std::uint32_t>& priv) {
   bins.assign(num_bins, 0);
   const std::size_t n = data.size();
   if (n == 0 || num_bins == 0) return;
+  constexpr std::size_t tile = kHistogramTile;
+  constexpr std::size_t sub = kHistogramSubRows;
   const std::size_t tiles = div_ceil(n, tile);
+  const std::size_t rows = tiles * sub;
 
-  // Kernel 1: every block fills its private row of bins (shared-memory
+  // Kernel 1: every block fills its private sub-counter rows (shared-memory
   // replication), kLanes threads striding over the tile.
-  priv.assign(tiles * num_bins, 0);
+  priv.assign(rows * num_bins, 0);
   checked::launch(
       "histogram/tile_bins", tiles,
       checked::bufs(checked::in(data, "data"),
-                    checked::inout(std::span<std::uint64_t>(priv), "priv_bins")),
+                    checked::inout(std::span<std::uint32_t>(priv), "priv_bins")),
       contract::contract(
           contract::reads("data", contract::b() * tile, static_cast<std::int64_t>(tile)).clamp(),
-          contract::updates("priv_bins", contract::b() * num_bins,
-                            static_cast<std::int64_t>(num_bins))),
+          contract::updates("priv_bins", contract::b() * (sub * num_bins),
+                            static_cast<std::int64_t>(sub * num_bins))),
       [&](std::size_t t, const auto& vdata, const auto& vpriv) {
         const std::size_t lo = t * tile;
         const std::size_t hi = std::min(lo + tile, n);
-        const std::size_t row = t * num_bins;
+        const std::size_t r0 = t * sub * num_bins;
+        const std::size_t r1 = r0 + num_bins, r2 = r1 + num_bins, r3 = r2 + num_bins;
+        const auto count = [&](std::size_t row, std::size_t i) {
+          const auto v = static_cast<std::size_t>(vdata[i]);
+          if (v < num_bins) vpriv.atomic_add(row + v, 1);
+        };
         constexpr std::size_t kLanes = 32;
         const std::size_t per_lane = div_ceil(hi - lo, kLanes);
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
           checked::this_thread(static_cast<std::uint32_t>(lane));
           const std::size_t a = std::min(lo + lane * per_lane, hi);
           const std::size_t b = std::min(a + per_lane, hi);
-          for (std::size_t i = a; i < b; ++i) {
-            const auto v = static_cast<std::size_t>(vdata[i]);
-            if (v < num_bins) vpriv.atomic_add(row + v, 1);
+          std::size_t i = a;
+          for (; i + sub <= b; i += sub) {
+            count(r0, i);
+            count(r1, i + 1);
+            count(r2, i + 2);
+            count(r3, i + 3);
           }
+          for (; i < b; ++i) count(r0, i);
         }
         checked::barrier();
       });
 
-  // Kernel 2: merge — each block owns a disjoint range of bins and sums the
-  // private rows column-wise.
+  // Kernel 2: merge — each block owns a disjoint range of bins and adds the
+  // private rows into it one row at a time (contiguous, vectorizable adds).
   constexpr std::size_t kMergeBins = 256;
   checked::launch(
       "histogram/merge", div_ceil(num_bins, kMergeBins),
-      checked::bufs(checked::in(std::span<const std::uint64_t>(priv), "priv_bins"),
+      checked::bufs(checked::in(std::span<const std::uint32_t>(priv), "priv_bins"),
                     checked::out(std::span<std::uint64_t>(bins), "bins")),
       contract::contract(
           contract::reads("priv_bins", contract::b() * kMergeBins, kMergeBins)
-              .strided(static_cast<std::int64_t>(tiles), static_cast<std::int64_t>(num_bins))
+              .strided(static_cast<std::int64_t>(rows), static_cast<std::int64_t>(num_bins))
               .clamp(),
           contract::writes("bins", contract::b() * kMergeBins, kMergeBins).clamp()),
       [&](std::size_t blk, const auto& vpriv, const auto& vbins) {
         const std::size_t b0 = blk * kMergeBins;
-        const std::size_t b1 = std::min(b0 + kMergeBins, num_bins);
-        for (std::size_t b = b0; b < b1; ++b) {
-          std::uint64_t sum = 0;
-          for (std::size_t t = 0; t < tiles; ++t) sum += vpriv[t * num_bins + b];
-          vbins[b] = sum;
+        const std::size_t w = std::min(b0 + kMergeBins, num_bins) - b0;
+        std::array<std::uint64_t, kMergeBins> sum{};
+        for (std::size_t r = 0; r < rows; ++r) {
+          vpriv.note_read(r * num_bins + b0, w);
+          const std::uint32_t* row = vpriv.data() + r * num_bins + b0;
+          for (std::size_t k = 0; k < w; ++k) sum[k] += row[k];
         }
+        vbins.note_write(b0, w);
+        std::copy_n(sum.data(), w, vbins.data() + b0);
       });
 }
 
 template <typename T>
 std::vector<std::uint64_t> device_histogram(std::span<const T> data,
-                                            std::size_t num_bins,
-                                            std::size_t tile = 1 << 16) {
+                                            std::size_t num_bins) {
   std::vector<std::uint64_t> bins;
-  std::vector<std::uint64_t> priv;
-  device_histogram_into(data, num_bins, bins, priv, tile);
+  std::vector<std::uint32_t> priv;
+  device_histogram_into(data, num_bins, bins, priv);
   return bins;
 }
 

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/aligned.hh"
 #include "sim/check.hh"
 #include "sim/launch.hh"
 #include "sim/profile.hh"
@@ -25,28 +26,43 @@ struct RunsOutput {
   std::vector<Count> counts;  ///< run lengths, same size as keys
 };
 
-/// Collapse consecutive equal keys into (key, run-length) pairs.
+/// Per-call scratch of reduce_by_key_into, reusable across calls (the
+/// pipeline keeps one in its Workspace).  The run slices are never
+/// zero-filled: each tile writes its runs at the head of its own slice, so
+/// only the pages that hold runs are ever touched.
 template <typename Key, typename Count = std::uint32_t>
-RunsOutput<Key, Count> reduce_by_key(std::span<const Key> keys,
-                                     std::size_t tile = 1 << 16) {
-  RunsOutput<Key, Count> out;
+struct RunScratch {
+  scratch_vector<Key> run_keys;
+  scratch_vector<Count> run_counts;
+  std::vector<std::uint64_t> tile_run_count;
+};
+
+/// Collapse consecutive equal keys into (key, run-length) pairs in `out`.
+template <typename Key, typename Count = std::uint32_t>
+void reduce_by_key_into(std::span<const Key> keys, RunsOutput<Key, Count>& out,
+                        RunScratch<Key, Count>& scratch, std::size_t tile = 1 << 16) {
+  out.keys.clear();
+  out.counts.clear();
   const std::size_t n = keys.size();
-  if (n == 0) return out;
+  if (n == 0) return;
 
   const std::size_t tiles = div_ceil(n, tile);
-  // Caller-allocated worst-case outputs, exactly as thrust::reduce_by_key
-  // takes them: every key could start a run, so each tile owns the
-  // [t*tile, t*tile + tile) slice of the flat run arrays and compacts its
-  // runs at the slice head.  Affine, disjoint, and statically provable.
-  std::vector<Key> run_keys(n);
-  std::vector<Count> run_counts(n);
-  std::vector<std::uint64_t> tile_run_count(tiles);
+  // Worst-case run slices, exactly as thrust::reduce_by_key takes them:
+  // every key could start a run, so each tile owns the [t*tile, t*tile +
+  // tile) slice of the flat run arrays and compacts its runs at the slice
+  // head.  Affine, disjoint, and statically provable.  clear() first, so a
+  // growing buffer does not copy stale runs into its new pages.
+  scratch.run_keys.clear();
+  scratch.run_keys.resize(n);
+  scratch.run_counts.clear();
+  scratch.run_counts.resize(n);
+  scratch.tile_run_count.resize(tiles);
 
   checked::launch("reduce_by_key/tile_runs", tiles,
                   checked::bufs(checked::in(keys, "keys"),
-                                checked::out(std::span<Key>(run_keys), "run_keys"),
-                                checked::out(std::span<Count>(run_counts), "run_counts"),
-                                checked::out(std::span<std::uint64_t>(tile_run_count),
+                                checked::out(std::span<Key>(scratch.run_keys), "run_keys"),
+                                checked::out(std::span<Count>(scratch.run_counts), "run_counts"),
+                                checked::out(std::span<std::uint64_t>(scratch.tile_run_count),
                                              "tile_run_count")),
                   contract::contract(
                       contract::reads("keys", contract::b() * tile,
@@ -78,21 +94,36 @@ RunsOutput<Key, Count> reduce_by_key(std::span<const Key> keys,
     vcount[t] = w + 1 - lo;
   });
 
-  // Stitch runs that straddle tile boundaries.
+  // Stitch runs that straddle tile boundaries: tile t's first run continues
+  // the previous tile's last run exactly when the keys either side of the
+  // boundary match, so the output size is known before any run is copied.
+  std::size_t total = 0;
+  for (std::size_t t = 0; t < tiles; ++t) {
+    total += static_cast<std::size_t>(scratch.tile_run_count[t]);
+    if (t > 0 && keys[t * tile - 1] == keys[t * tile]) --total;
+  }
+  out.keys.resize(total);
+  out.counts.resize(total);
+  std::size_t w = 0;
   for (std::size_t t = 0; t < tiles; ++t) {
     const std::size_t lo = t * tile;
-    std::size_t start = 0;
-    const auto runs = static_cast<std::size_t>(tile_run_count[t]);
-    if (!out.keys.empty() && runs > 0 && out.keys.back() == run_keys[lo]) {
-      out.counts.back() += run_counts[lo];
-      start = 1;
+    std::size_t r = lo;
+    const std::size_t end = lo + static_cast<std::size_t>(scratch.tile_run_count[t]);
+    if (t > 0 && keys[lo - 1] == keys[lo]) out.counts[w - 1] += scratch.run_counts[r++];
+    for (; r < end; ++r, ++w) {
+      out.keys[w] = scratch.run_keys[r];
+      out.counts[w] = scratch.run_counts[r];
     }
-    out.keys.insert(out.keys.end(), run_keys.begin() + static_cast<std::ptrdiff_t>(lo + start),
-                    run_keys.begin() + static_cast<std::ptrdiff_t>(lo + runs));
-    out.counts.insert(out.counts.end(),
-                      run_counts.begin() + static_cast<std::ptrdiff_t>(lo + start),
-                      run_counts.begin() + static_cast<std::ptrdiff_t>(lo + runs));
   }
+}
+
+/// Collapse consecutive equal keys into (key, run-length) pairs.
+template <typename Key, typename Count = std::uint32_t>
+RunsOutput<Key, Count> reduce_by_key(std::span<const Key> keys,
+                                     std::size_t tile = 1 << 16) {
+  RunsOutput<Key, Count> out;
+  RunScratch<Key, Count> scratch;
+  reduce_by_key_into(keys, out, scratch, tile);
   return out;
 }
 

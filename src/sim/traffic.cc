@@ -246,7 +246,15 @@ LaunchTraffic analyze(const contract::Contract& con, const contract::Geom& geom,
     switch (cl.kind) {
       case ClauseKind::kWindow:
       case ClauseKind::kBox:
-        v = affine_volume(cl, geom, elems, eb);
+        if (cl.counted != nullptr) {
+          // Sparse emit: the elements the grid actually touched inside its
+          // windows, each block's run contiguous — scored as one run.
+          v.bytes = cl.counted->load(std::memory_order_relaxed) * eb;
+          v.seg_bytes = segment_bytes(0, v.bytes);
+          out.dynamic = true;
+        } else {
+          v = affine_volume(cl, geom, elems, eb);
+        }
         break;
       case ClauseKind::kAll: {
         // Broadcast: every block pulls the whole buffer.

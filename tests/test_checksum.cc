@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include "core/checksum.hh"
@@ -19,6 +20,42 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(bytes), 0xcbf43926u);
 
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+/// Byte-wise reference: the reflected IEEE polynomial, one bit at a time.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, EveryLengthAndAlignmentMatchesBitwiseReference) {
+  std::mt19937 rng(11);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + align, len);
+      EXPECT_EQ(crc32(s), crc32_bitwise(s)) << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtEveryOffset) {
+  std::mt19937 rng(12);
+  std::vector<std::uint8_t> data(131);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = crc32(data);
+  ASSERT_EQ(whole, crc32_bitwise(data));
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::span<const std::uint8_t> all(data);
+    std::uint32_t state = crc32_update(crc32_init(), all.first(cut));
+    state = crc32_update(state, all.subspan(cut));
+    EXPECT_EQ(crc32_final(state), whole) << "cut " << cut;
+  }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/compressor.hh"
+#include "core/error.hh"
 #include "core/metrics.hh"
 
 namespace {
@@ -169,6 +170,22 @@ TEST(Compressor, ReconstructVariantsAgree) {
   const auto naive = Compressor::decompress(
       c.bytes, {ReconstructVariant::kNaivePartialSum});
   EXPECT_EQ(opt.data, naive.data);
+}
+
+TEST(Compressor, CoarseVariantIsAConfigErrorNotStreamDamage) {
+  // The cuSZ coarse kernel needs a dense value-space outlier array, which a
+  // szp archive does not carry: asking for it is a caller mistake, and must
+  // not be reported as a corrupt archive.
+  const Extents ext = Extents::d2(64, 48);
+  const auto data = smooth_field(ext, 3, 0.001f);
+  const auto c = Compressor(CompressConfig{}).compress(data, ext);
+  try {
+    (void)Compressor::decompress(c.bytes, {ReconstructVariant::kCoarseChunkSerial});
+    ADD_FAILURE() << "coarse variant accepted";
+  } catch (const DecodeError& e) {
+    ADD_FAILURE() << "reported as stream damage: " << e.what();
+  } catch (const ConfigError&) {
+  }
 }
 
 TEST(Compressor, RansWorkflowBreaksTheHuffmanFloor) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -30,12 +31,19 @@ std::vector<float> random_field(const Extents& ext, std::uint32_t seed, float am
   return v;
 }
 
+/// The construct's gathered outliers scattered back to one value per
+/// element (0 where there is none).
+std::vector<qdiff_t> dense_outliers(const LorenzoConstructResult& res) {
+  std::vector<qdiff_t> dense(res.quant.size(), 0);
+  sim::scatter_add(lorenzo_outliers(res), std::span<qdiff_t>(dense));
+  return dense;
+}
+
 /// Full fine-grained round trip through the cuSZ+ residual scheme.
 std::vector<float> roundtrip_fine(std::span<const float> data, const Extents& ext, double eb,
                                   const QuantConfig& qcfg, const ReconstructConfig& rcfg) {
   auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kResidual);
-  auto sparse = sim::dense_to_sparse<qdiff_t>(
-      std::span<const qdiff_t>(res.outlier_dense.data(), res.outlier_dense.size()));
+  const auto sparse = lorenzo_outliers(res);
   std::vector<float> out(ext.count());
   lorenzo_reconstruct(res.quant, sparse, qcfg.radius(), ext, eb, out, rcfg);
   return out;
@@ -47,10 +55,10 @@ std::vector<float> roundtrip_coarse(std::span<const float> data, const Extents& 
   auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kValue,
                                ConstructVariant::kBaseline);
   std::vector<float> out(ext.count());
+  const auto dense = dense_outliers(res);
   lorenzo_reconstruct_coarse(std::span<const quant_t>(res.quant.data(), res.quant.size()),
-                             std::span<const qdiff_t>(res.outlier_dense.data(),
-                                                      res.outlier_dense.size()),
-                             ext, eb, qcfg, out);
+                             std::span<const qdiff_t>(dense.data(), dense.size()), ext, eb, qcfg,
+                             out);
   return out;
 }
 
@@ -197,10 +205,11 @@ TEST(Lorenzo, OutliersUseResidualSpaceInPlusScheme) {
   auto res = lorenzo_construct(data, ext, eb, QuantConfig{});
   const auto r = static_cast<quant_t>(QuantConfig{}.radius());
 
+  const auto outlier = dense_outliers(res);
   EXPECT_EQ(res.quant[100], r);
-  EXPECT_EQ(res.outlier_dense[100], 50000);   // round(1000/0.02) - 0
+  EXPECT_EQ(outlier[100], 50000);   // round(1000/0.02) - 0
   EXPECT_EQ(res.quant[101], r);
-  EXPECT_EQ(res.outlier_dense[101], -50000);  // back down
+  EXPECT_EQ(outlier[101], -50000);  // back down
   // And the round trip still honors the bound.
   const auto out = roundtrip_fine(data, ext, eb, QuantConfig{}, {});
   EXPECT_LE(max_error(data, out), eb + kFloatRounding);
@@ -212,7 +221,7 @@ TEST(Lorenzo, ValueSchemeUsesPlaceholderZero) {
   data[100] = 1000.0f;
   auto res = lorenzo_construct(data, ext, 0.01, QuantConfig{}, OutlierScheme::kValue);
   EXPECT_EQ(res.quant[100], 0);
-  EXPECT_EQ(res.outlier_dense[100], 50000);  // prequantized *value*
+  EXPECT_EQ(dense_outliers(res)[100], 50000);  // prequantized *value*
 }
 
 TEST(Lorenzo, ChunksAreIndependent) {
@@ -235,7 +244,7 @@ TEST(Lorenzo, SmallerCapacityProducesMoreOutliers) {
   auto small = lorenzo_construct(data, ext, eb, QuantConfig{16});
   const auto nnz = [](const LorenzoConstructResult& r) {
     std::size_t c = 0;
-    for (const auto v : r.outlier_dense) c += v != 0 ? 1u : 0u;
+    for (const auto v : dense_outliers(r)) c += v != 0 ? 1u : 0u;
     return c;
   };
   EXPECT_GE(nnz(small), nnz(big));
@@ -313,7 +322,7 @@ void reference_construct(const std::vector<T>& data, const Extents& ext, double 
       }
 }
 
-/// Compares the kernel's quant codes and dense outliers with the reference
+/// Compares the kernel's quant codes and gathered outliers with the reference
 /// element by element, for both outlier schemes and both cost variants.
 template <typename T>
 void expect_matches_reference(const std::vector<T>& data, const Extents& ext, double eb,
@@ -324,14 +333,15 @@ void expect_matches_reference(const std::vector<T>& data, const Extents& ext, do
     reference_construct(data, ext, eb, qcfg, scheme, ref_q, ref_o);
     for (const auto variant : {ConstructVariant::kOptimized, ConstructVariant::kBaseline}) {
       const auto res = lorenzo_construct(data, ext, eb, qcfg, scheme, variant);
+      const auto outlier = dense_outliers(res);
       ASSERT_EQ(res.quant.size(), ref_q.size());
-      ASSERT_EQ(res.outlier_dense.size(), ref_o.size());
+      ASSERT_EQ(outlier.size(), ref_o.size());
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < ref_q.size(); ++i) {
-        if (res.quant[i] != ref_q[i] || res.outlier_dense[i] != ref_o[i]) {
+        if (res.quant[i] != ref_q[i] || outlier[i] != ref_o[i]) {
           if (++mismatches <= 5) {
             ADD_FAILURE() << "i=" << i << " quant " << res.quant[i] << " vs " << ref_q[i]
-                          << ", outlier " << res.outlier_dense[i] << " vs " << ref_o[i]
+                          << ", outlier " << outlier[i] << " vs " << ref_o[i]
                           << " (scheme " << static_cast<int>(scheme) << ", variant "
                           << static_cast<int>(variant) << ")";
           }
@@ -620,6 +630,123 @@ TEST(Lorenzo, InvalidArgumentsThrow) {
   nan3.back() = std::numeric_limits<float>::quiet_NaN();
   EXPECT_THROW((void)lorenzo_construct(nan3, Extents::d3(9, 9, 300), 1e-3, QuantConfig{}),
                std::invalid_argument);
+}
+
+// ---- Outlier compaction oracle: the construct's staged outliers, scanned
+// and filled by lorenzo_gather_outliers, must be exactly the non-zero values
+// of the scalar reference's dense outlier array, in index order. ----------
+
+enum class OutlierLayout { kEdges, kAll, kNone };
+
+/// Field with spikes on the first and last element of every chunk, of every
+/// 256-wide host block, of every row and of the field (kEdges); a
+/// checkerboard of ±1000 where every element is an outlier (kAll); or a
+/// gentle ramp with none (kNone).  At eb = 0.01 a 1000 spike prequantizes to
+/// 50000, far outside any radius; the element after it falls back to 0,
+/// which kValue stores as a value-0 outlier that must not be emitted.
+template <typename T>
+std::vector<T> layout_field(const Extents& ext, OutlierLayout layout) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  std::vector<T> data(ext.count(), T{0});
+  for (std::size_t z = 0; z < ext.nz; ++z) {
+    for (std::size_t y = 0; y < ext.ny; ++y) {
+      for (std::size_t x = 0; x < ext.nx; ++x) {
+        T& v = data[ext.index(z, y, x)];
+        switch (layout) {
+          case OutlierLayout::kAll:
+            v = static_cast<T>((x + y + z) % 2 == 0 ? 1000.0 : -1000.0);
+            break;
+          case OutlierLayout::kNone:
+            v = static_cast<T>(0.001 * static_cast<double>(x + y + z));
+            break;
+          case OutlierLayout::kEdges: {
+            const bool edge = x == 0 || x + 1 == ext.nx || x % cs.cx == 0 ||
+                              x % cs.cx == cs.cx - 1 || x % 256 == 0 || x % 256 == 255;
+            const bool chunk_corner = (y % cs.cy == 0 || y % cs.cy == cs.cy - 1) &&
+                                      (z % cs.cz == 0 || z % cs.cz == cs.cz - 1);
+            if (edge && chunk_corner) v = T{1000};
+            break;
+          }
+        }
+      }
+    }
+  }
+  if (layout == OutlierLayout::kEdges) {
+    data.front() = T{1000};
+    data.back() = T{-1000};
+  }
+  return data;
+}
+
+template <typename T>
+void expect_compaction_matches_reference(const Extents& ext, OutlierLayout layout) {
+  const auto data = layout_field<T>(ext, layout);
+  for (const auto scheme : {OutlierScheme::kResidual, OutlierScheme::kValue}) {
+    std::vector<quant_t> ref_q;
+    std::vector<qdiff_t> ref_o;
+    reference_construct(data, ext, 0.01, QuantConfig{}, scheme, ref_q, ref_o);
+    sim::SparseVector<qdiff_t> want;
+    for (std::size_t i = 0; i < ref_o.size(); ++i) {
+      if (ref_o[i] != 0) {
+        want.indices.push_back(i);
+        want.values.push_back(ref_o[i]);
+      }
+    }
+    const auto res = lorenzo_construct(data, ext, 0.01, QuantConfig{}, scheme);
+    const auto got = lorenzo_outliers(res);
+    const std::string where = "rank=" + std::to_string(ext.rank) +
+                              " nx=" + std::to_string(ext.nx) + " ny=" +
+                              std::to_string(ext.ny) + " nz=" + std::to_string(ext.nz) +
+                              " layout=" + std::to_string(static_cast<int>(layout)) +
+                              " scheme=" + std::to_string(static_cast<int>(scheme));
+    ASSERT_EQ(got.indices, want.indices) << where;
+    ASSERT_EQ(got.values, want.values) << where;
+    ASSERT_EQ(std::vector<quant_t>(res.quant.begin(), res.quant.end()), ref_q) << where;
+    if (layout == OutlierLayout::kAll && scheme == OutlierScheme::kResidual) {
+      EXPECT_EQ(got.nnz(), ext.count()) << where;
+    }
+    if (layout == OutlierLayout::kNone) EXPECT_EQ(got.nnz(), 0u) << where;
+    if (layout == OutlierLayout::kEdges && scheme == OutlierScheme::kValue &&
+        ext.count() > 1) {
+      // The element after a spike falls back to 0: a value-0 outlier the
+      // gather leaves out, as a dense-to-sparse gather would.
+      std::size_t zero_value_outliers = 0;
+      for (std::size_t i = 0; i < ref_q.size(); ++i) {
+        zero_value_outliers += ref_q[i] == 0 && ref_o[i] == 0 ? 1u : 0u;
+      }
+      EXPECT_GT(zero_value_outliers, 0u) << where;
+    }
+  }
+}
+
+template <typename T>
+void check_compaction_all_shapes() {
+  for (const std::size_t nx : {1, 7, 8, 9, 255, 256, 257, 300, 513}) {
+    for (const auto layout : {OutlierLayout::kEdges, OutlierLayout::kAll, OutlierLayout::kNone}) {
+      expect_compaction_matches_reference<T>(Extents::d1(nx), layout);
+      expect_compaction_matches_reference<T>(Extents::d2(nx, 19), layout);
+      expect_compaction_matches_reference<T>(Extents::d3(nx, 9, 11), layout);
+    }
+  }
+}
+
+TEST(OutlierCompaction, MatchesDenseReferenceFloat) { check_compaction_all_shapes<float>(); }
+
+TEST(OutlierCompaction, MatchesDenseReferenceDouble) { check_compaction_all_shapes<double>(); }
+
+TEST(OutlierCompaction, ReusedResultGathersOnlyTheLatestField) {
+  // A reused result keeps its stash pages: a field without outliers after
+  // one full of them must gather nothing.
+  const Extents ext = Extents::d3(300, 9, 11);
+  LorenzoConstructResult res;
+  lorenzo_construct_into<float>(layout_field<float>(ext, OutlierLayout::kAll), ext, 0.01,
+                                QuantConfig{}, OutlierScheme::kResidual,
+                                ConstructVariant::kOptimized, res);
+  EXPECT_EQ(lorenzo_outliers(res).nnz(), ext.count());
+  lorenzo_construct_into<float>(layout_field<float>(ext, OutlierLayout::kNone), ext, 0.01,
+                                QuantConfig{}, OutlierScheme::kResidual,
+                                ConstructVariant::kOptimized, res);
+  EXPECT_EQ(lorenzo_outliers(res).nnz(), 0u);
 }
 
 TEST(Lorenzo, MinimalSizes) {

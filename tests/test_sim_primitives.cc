@@ -2,6 +2,7 @@
 // conversion in the simulated-GPU substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -23,7 +24,7 @@ TEST(DeviceHistogram, MatchesNaiveCount) {
   std::vector<std::uint16_t> data(100000);
   for (auto& x : data) x = static_cast<std::uint16_t>(rng() % 300);
 
-  const auto bins = device_histogram<std::uint16_t>(data, 300, 1024);
+  const auto bins = device_histogram<std::uint16_t>(data, 300);
 
   std::vector<std::uint64_t> expected(300, 0);
   for (const auto x : data) ++expected[x];
@@ -40,6 +41,42 @@ TEST(DeviceHistogram, IgnoresOutOfRangeAndHandlesEmpty) {
 
   const auto empty = device_histogram<std::uint16_t>(std::vector<std::uint16_t>{}, 4);
   EXPECT_EQ(empty, std::vector<std::uint64_t>(4, 0));
+}
+
+/// Histogram against a scalar count over two full 2^20-element tiles and a
+/// ragged third: skewed (most codes in one bin, as quant codes are),
+/// uniform, and with out-of-range codes the kernel must drop.
+void expect_histogram_matches_scalar(const std::vector<std::uint16_t>& data,
+                                     std::size_t num_bins) {
+  std::vector<std::uint64_t> want(num_bins, 0);
+  for (const auto x : data) {
+    if (x < num_bins) ++want[x];
+  }
+  EXPECT_EQ(device_histogram<std::uint16_t>(data, num_bins), want);
+}
+
+TEST(HistogramOracle, SkewedUniformAndOutOfRangeWithRaggedTile) {
+  const std::size_t n = 2 * szp::sim::kHistogramTile + 12345;
+  std::mt19937 rng(4);
+  std::vector<std::uint16_t> skewed(n), uniform(n), wild(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    skewed[i] = static_cast<std::uint16_t>(rng() % 100 < 84 ? 512 : 500 + rng() % 25);
+    uniform[i] = static_cast<std::uint16_t>(rng() % 1024);
+    wild[i] = static_cast<std::uint16_t>(rng() % 1500);  // ~1/3 beyond 1024 bins
+  }
+  expect_histogram_matches_scalar(skewed, 1024);
+  expect_histogram_matches_scalar(uniform, 1024);
+  expect_histogram_matches_scalar(wild, 1024);
+  // A run of one code longer than a lane's stripe, ending mid-tile.
+  std::vector<std::uint16_t> run(n, 7);
+  std::fill(run.begin() + 1000003, run.end(), 9);
+  expect_histogram_matches_scalar(run, 16);
+  // Every tail length of the four-way interleave.
+  for (std::size_t m = 1; m <= 9; ++m) {
+    const std::vector<std::uint16_t> head(skewed.begin(),
+                                          skewed.begin() + static_cast<std::ptrdiff_t>(m));
+    expect_histogram_matches_scalar(head, 1024);
+  }
 }
 
 std::vector<std::uint16_t> runs_sequence(std::uint32_t seed, std::size_t nruns,

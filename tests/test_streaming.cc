@@ -77,6 +77,40 @@ TEST(Streaming, MatchesSingleShotQuality) {
   EXPECT_LT(compare_fields(data, d.data).max_abs_error, single.stats.eb_abs);
 }
 
+template <typename T>
+void expect_streamed_bound_matches_in_memory() {
+  // Three and a bit 64 Ki-element range runs, with ±0, denormals and the
+  // extremes in different runs: the streamed block scan and the in-memory
+  // scan must resolve the same bits of eb.
+  const Extents ext = Extents::d2(700, 300);
+  std::vector<T> data(ext.count());
+  std::mt19937 rng(9);
+  std::uniform_real_distribution<double> dist(-3.0, 3.0);
+  for (auto& x : data) x = static_cast<T>(dist(rng));
+  data[0] = -T{0};
+  data[70000] = std::numeric_limits<T>::denorm_min();
+  data[140000] = static_cast<T>(-7.25);
+  data.back() = static_cast<T>(9.5);
+  CompressConfig single_cfg;
+  single_cfg.eb = ErrorBound::relative(1e-3);
+  const auto single = Compressor(single_cfg).compress(data, ext);
+  const auto streamed = StreamingCompressor(config_with(20000)).compress(data, ext);
+  EXPECT_EQ(streamed.stats.eb_abs, single.stats.eb_abs);
+  // Non-finite input is refused on both routes.
+  data[150000] = std::numeric_limits<T>::infinity();
+  EXPECT_THROW((void)Compressor(single_cfg).compress(data, ext), std::invalid_argument);
+  EXPECT_THROW((void)StreamingCompressor(config_with(20000)).compress(data, ext),
+               std::invalid_argument);
+}
+
+TEST(Streaming, StreamedRangeEqualsInMemoryRangeFloat) {
+  expect_streamed_bound_matches_in_memory<float>();
+}
+
+TEST(Streaming, StreamedRangeEqualsInMemoryRangeDouble) {
+  expect_streamed_bound_matches_in_memory<double>();
+}
+
 TEST(Streaming, SlabCountAndCoverage) {
   const Extents ext = Extents::d3(10, 8, 9);  // 720 elems, plane = 72
   const auto data = field(ext, 6);

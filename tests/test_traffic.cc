@@ -149,57 +149,95 @@ std::vector<float> ramp(std::size_t n) {
   return d;
 }
 
+/// Construct writes: a 2 B code per element, one 8 B count per row segment
+/// of the row-count table, and 12 B (u64 index + i32 value) per staged
+/// outlier.  No dense outlier array.
+std::uint64_t construct_written(const Extents& ext, std::size_t row_segments,
+                                const LorenzoConstructResult& res) {
+  return 2u * ext.count() + 8u * row_segments + 12u * lorenzo_outliers(res).nnz();
+}
+
 TEST(TrafficKernels, Lorenzo1D) {
   const auto data = ramp(64);
+  const Extents ext = Extents::d1(64);
+  LorenzoConstructResult res;
   const auto row = kernel_row("lorenzo_construct", [&] {
-    const auto res = lorenzo_construct<float>(data, Extents::d1(64), 0.01, QuantConfig{});
-    (void)res;
+    res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
   });
+  EXPECT_EQ(lorenzo_outliers(res).nnz(), 0u);
   EXPECT_EQ(row.bytes_read, 256u);
-  EXPECT_EQ(row.bytes_written, 384u);
-  EXPECT_NEAR(row.coalescing(), 1.0, 0.01);
+  EXPECT_EQ(row.bytes_written, 136u);
+  EXPECT_EQ(row.bytes_written, construct_written(ext, 1, res));
+  // The 8 B row count drags a whole segment.
+  EXPECT_NEAR(row.coalescing(), 0.7656, 0.001);
 }
 
 TEST(TrafficKernels, Lorenzo2D) {
   const auto data = ramp(256);
+  const Extents ext = Extents::d2(16, 16);
+  LorenzoConstructResult res;
   const auto row = kernel_row("lorenzo_construct", [&] {
-    const auto res = lorenzo_construct<float>(data, Extents::d2(16, 16), 0.01, QuantConfig{});
-    (void)res;
+    res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
   });
+  EXPECT_EQ(lorenzo_outliers(res).nnz(), 0u);
   EXPECT_EQ(row.bytes_read, 1024u);
-  EXPECT_EQ(row.bytes_written, 1536u);
+  EXPECT_EQ(row.bytes_written, 640u);
+  EXPECT_EQ(row.bytes_written, construct_written(ext, 16, res));
   // 2-D tiles write 16-element row stripes: every stripe drags whole
   // segments, so the score drops well below the 1-D streaming case.
-  EXPECT_NEAR(row.coalescing(), 0.4167, 0.001);
+  EXPECT_NEAR(row.coalescing(), 0.2708, 0.001);
 }
 
 TEST(TrafficKernels, Lorenzo3D) {
   const auto data = ramp(512);
+  const Extents ext = Extents::d3(8, 8, 8);
+  LorenzoConstructResult res;
   const auto row = kernel_row("lorenzo_construct", [&] {
-    const auto res = lorenzo_construct<float>(data, Extents::d3(8, 8, 8), 0.01, QuantConfig{});
-    (void)res;
+    res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
   });
+  EXPECT_EQ(lorenzo_outliers(res).nnz(), 7u);
   EXPECT_EQ(row.bytes_read, 2048u);
-  EXPECT_EQ(row.bytes_written, 3072u);
+  EXPECT_EQ(row.bytes_written, 1620u);
+  EXPECT_EQ(row.bytes_written, construct_written(ext, 64, res));
   // 3-D tiles touch 8-element pencils — the narrowest stripes, worst score.
-  EXPECT_NEAR(row.coalescing(), 0.2083, 0.001);
+  EXPECT_NEAR(row.coalescing(), 0.1477, 0.001);
 }
 
 TEST(TrafficKernels, Lorenzo3DMultiBlock) {
   // 8x8x600: three host blocks along x (256 + 256 + 88), each a run of
-  // whole 8x8x8 chunks.  Volumes stay 4 B read + 6 B written per element;
-  // one-chunk blocks would touch 8-element pencils and score 0.21 here,
-  // block rows of up to 256 elements score 0.87 — only the rows' unaligned
-  // ends (2400-byte field rows) drag partial segments.
+  // whole 8x8x8 chunks.  Volumes stay 4 B read per element, and 2 B per
+  // element plus the row table and the outliers written; one-chunk blocks
+  // would touch 8-element pencils, block rows of up to 256 elements stream —
+  // only the rows' unaligned ends (2400-byte field rows) and the 8 B row
+  // counts drag partial segments.
   const Extents ext = Extents::d3(8, 8, 600);
   const auto data = ramp(ext.count());
+  LorenzoConstructResult res;
   const auto row = kernel_row("lorenzo_construct", [&] {
-    const auto res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
-    (void)res;
+    res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
   });
   EXPECT_EQ(row.bytes_read, 4u * ext.count());
-  EXPECT_EQ(row.bytes_written, 6u * ext.count());
-  EXPECT_NEAR(row.coalescing(), 0.8681, 0.001);
+  EXPECT_EQ(row.bytes_written, construct_written(ext, 3 * 8 * 8, res));
+  EXPECT_EQ(row.bytes_written, 91800u);
+  EXPECT_NEAR(row.coalescing(), 0.7952, 0.001);
+}
+
+TEST(TrafficKernels, GatherOutlierMovesOnlyTheOutliers) {
+  // The gather reads each row segment's count and scanned offset (16 B) and
+  // copies 12 B per outlier from the stash to the output: no pass over the
+  // field.  The scan itself runs as device_scan launches.
+  const Extents ext = Extents::d3(8, 8, 600);
+  auto data = ramp(ext.count());
+  LorenzoConstructResult res = lorenzo_construct<float>(data, ext, 0.01, QuantConfig{});
+  sim::SparseVector<qdiff_t> out;
+  std::vector<std::size_t> row_offset;
+  const auto row = kernel_row("gather_outlier/fill", [&] {
+    (void)lorenzo_gather_outliers(res.stash, out, row_offset);
+  });
+  const std::uint64_t rows = 3 * 8 * 8;
+  EXPECT_GT(out.nnz(), 0u);
+  EXPECT_EQ(row.bytes_read, 16u * rows + 12u * out.nnz());
+  EXPECT_EQ(row.bytes_written, 12u * out.nnz());
 }
 
 TEST(TrafficKernels, LorenzoReconstructFusesOutliers) {

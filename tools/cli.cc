@@ -533,17 +533,18 @@ void analyze_suite() {
   // are exercised too.
   for (std::size_t i = 0; i < field.size(); i += 97) field[i] += 50.0f;
   const auto lc = lorenzo_construct<float>(field, e3, eb, qcfg);
-  const auto lsparse = sim::dense_to_sparse(
-      std::span<const qdiff_t>(lc.outlier_dense.data(), lc.outlier_dense.size()));
+  const auto lsparse = lorenzo_outliers(lc);  // gather_outlier/fill + device_scan
   std::vector<float> rec(e3.count());
   lorenzo_reconstruct<float>({lc.quant.data(), lc.quant.size()}, lsparse, qcfg.radius(), e3, eb,
                              std::span<float>(rec));
   const auto lv =
       lorenzo_construct<float>(field, e3, eb, qcfg, OutlierScheme::kValue,
                                ConstructVariant::kBaseline);
+  std::vector<qdiff_t> lv_dense(e3.count(), 0);  // the coarse kernel's value-space input
+  sim::scatter_add(lorenzo_outliers(lv), std::span<qdiff_t>(lv_dense));
   lorenzo_reconstruct_coarse<float>({lv.quant.data(), lv.quant.size()},
-                                    {lv.outlier_dense.data(), lv.outlier_dense.size()}, e3, eb,
-                                    qcfg, std::span<float>(rec));
+                                    {lv_dense.data(), lv_dense.size()}, e3, eb, qcfg,
+                                    std::span<float>(rec));
 
   RegressionResult rg;
   regression_construct_into<float>(field, e3, eb, qcfg, rg);
@@ -559,7 +560,7 @@ void analyze_suite() {
   for (std::size_t i = 0; i < n; ++i) {
     syms[i] = static_cast<quant_t>(512 + (i / 97) % 16);
   }
-  const auto freq = sim::device_histogram(std::span<const quant_t>(syms), qcfg.capacity, 4096);
+  const auto freq = sim::device_histogram(std::span<const quant_t>(syms), qcfg.capacity);
   const auto book = HuffmanCodebook::build(freq);
   const auto plain = huffman_encode(syms, book, 1024, HuffmanEncVariant::kOptimized, 0);
   (void)huffman_decode(plain, book);
