@@ -5,12 +5,12 @@
 // stash, the other predictors' dense outlier arrays), the histogram bins and
 // their block-private sub-counter rows, the gathered outlier stream plus its
 // scan scratch, the RLE run slices, and the Huffman encoder's chunk metadata
-// and payload.  Allocating
-// them per call makes repeated-field compression malloc-bound; FZ-GPU makes
-// the same observation for real device buffers (HPDC'23).  A Workspace owns
-// one instance of each buffer and the pipeline stages fill them with
-// capacity-preserving assign()/resize() calls, so a reused Compressor
-// reaches a steady state where no pipeline buffer grows at all.
+// and payload.  Allocating them per call makes repeated-field compression
+// malloc-bound; FZ-GPU makes the same observation for real device buffers
+// (HPDC'23).  A Workspace owns one instance of each buffer and the pipeline
+// stages fill them with capacity-preserving assign()/resize() calls, so a
+// reused Compressor reaches a steady state where no pipeline buffer grows at
+// all.
 //
 // Concurrency: a Workspace is single-threaded state.  WorkspacePool hands
 // out exclusive leases from a mutex-protected free list — parallel slab
